@@ -418,40 +418,43 @@ let fig8 () =
 
 (* ----- FatTree (Fig. 13) ---------------------------------------------- *)
 
+(* One long-lived flow per host, as in the paper's permutation run. *)
 let fattree_cfg () =
-  if !quick then
-    { S.Fattree_static.default with k = 4; duration = 20.; warmup = 5. }
-  else { S.Fattree_static.default with k = 8; duration = 12.; warmup = 4. }
+  let fig13 =
+    { S.Fattree_sharded.default with flows_per_host = 1; subflows = 8 }
+  in
+  if !quick then { fig13 with k = 4; duration = 20.; warmup = 5. }
+  else { fig13 with k = 8; duration = 12.; warmup = 4. }
 
 let fig13a () =
   section "Fig 13(a) - FatTree aggregate throughput vs number of subflows";
   let cfg = fattree_cfg () in
   Printf.printf
     "FatTree k=%d (%d hosts), %g Mb/s links (scaled; see DESIGN.md)\n"
-    cfg.S.Fattree_static.k
-    (cfg.S.Fattree_static.k * cfg.S.Fattree_static.k * cfg.S.Fattree_static.k
-     / 4)
-    cfg.S.Fattree_static.rate_mbps;
+    cfg.S.Fattree_sharded.k
+    (cfg.S.Fattree_sharded.k * cfg.S.Fattree_sharded.k
+     * cfg.S.Fattree_sharded.k / 4)
+    cfg.S.Fattree_sharded.rate_mbps;
   let t =
     Table.create ~title:"aggregate throughput, % of the permutation optimum"
       ~columns:[ "subflows"; "TCP"; "MPTCP LIA"; "MPTCP OLIA" ]
   in
-  let tcp = S.Fattree_static.run { cfg with subflows = 1 } in
+  let tcp = S.Fattree_sharded.run { cfg with subflows = 1 } in
   let subflow_counts = if !quick then [ 2; 4; 8 ] else [ 2; 3; 4; 5; 6; 7; 8 ] in
   List.iter
     (fun n ->
-      let lia = S.Fattree_static.run { cfg with subflows = n; algo = "lia" } in
+      let lia = S.Fattree_sharded.run { cfg with subflows = n; algo = "lia" } in
       let olia =
-        S.Fattree_static.run { cfg with subflows = n; algo = "olia" }
+        S.Fattree_sharded.run { cfg with subflows = n; algo = "olia" }
       in
       Table.add_row t
         [
           string_of_int n;
           (if n = List.hd subflow_counts then
-             Printf.sprintf "%.1f" tcp.S.Fattree_static.aggregate_pct_optimal
+             Printf.sprintf "%.1f" tcp.S.Fattree_sharded.aggregate_pct_optimal
            else "-");
-          Printf.sprintf "%.1f" lia.S.Fattree_static.aggregate_pct_optimal;
-          Printf.sprintf "%.1f" olia.S.Fattree_static.aggregate_pct_optimal;
+          Printf.sprintf "%.1f" lia.S.Fattree_sharded.aggregate_pct_optimal;
+          Printf.sprintf "%.1f" olia.S.Fattree_sharded.aggregate_pct_optimal;
         ])
     subflow_counts;
   Table.print t
@@ -459,15 +462,15 @@ let fig13a () =
 let fig13b () =
   section "Fig 13(b) - ranked per-flow throughput (8 subflows)";
   let cfg = fattree_cfg () in
-  let tcp = S.Fattree_static.run { cfg with subflows = 1 } in
-  let lia = S.Fattree_static.run { cfg with subflows = 8; algo = "lia" } in
-  let olia = S.Fattree_static.run { cfg with subflows = 8; algo = "olia" } in
+  let tcp = S.Fattree_sharded.run { cfg with subflows = 1 } in
+  let lia = S.Fattree_sharded.run { cfg with subflows = 8; algo = "lia" } in
+  let olia = S.Fattree_sharded.run { cfg with subflows = 8; algo = "olia" } in
   let t =
     Table.create ~title:"flow throughput (% of optimal) at selected ranks"
       ~columns:[ "rank percentile"; "TCP"; "MPTCP LIA"; "MPTCP OLIA" ]
   in
-  let pick (r : S.Fattree_static.result) q =
-    let a = r.S.Fattree_static.ranked_pct in
+  let pick (r : S.Fattree_sharded.result) q =
+    let a = r.S.Fattree_sharded.ranked_pct in
     a.(Stdlib.min
          (Array.length a - 1)
          (int_of_float (q *. float_of_int (Array.length a))))
@@ -483,8 +486,8 @@ let fig13b () =
         ])
     [ 0.05; 0.25; 0.5; 0.75; 0.95 ];
   Table.print t;
-  let jain (r : S.Fattree_static.result) =
-    Summary.jain_index (Array.to_list r.S.Fattree_static.ranked_pct)
+  let jain (r : S.Fattree_sharded.result) =
+    Summary.jain_index (Array.to_list r.S.Fattree_sharded.ranked_pct)
   in
   Printf.printf
     "Jain fairness index: TCP %.3f, LIA %.3f, OLIA %.3f (paper: MPTCP \

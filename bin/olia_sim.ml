@@ -5,10 +5,6 @@
      run <scenario> [-p k=v]...             any registry scenario, one point
      sweep <scenario> [-x k=axis]...        multicore parameter sweep
      report <trace.jsonl>                   flight-recorder trace analysis
-     scenario-a | scenario-b | scenario-c   testbed scenarios (paper §III/VI)
-     trace                                  two-bottleneck window traces
-     fattree                                static FatTree experiment
-     fattree-dynamic                        short-flow experiment
      fluid                                  analytical fixed points
      shard-invariance                       sharded-vs-sequential CI gate
      check                                  conformance + golden traces *)
@@ -30,14 +26,6 @@ let algo =
 let seed =
   let doc = "PRNG seed (runs are deterministic given the seed)." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
-
-let duration =
-  let doc = "Simulated duration in seconds." in
-  Arg.(value & opt float 120. & info [ "duration"; "d" ] ~docv:"SEC" ~doc)
-
-let warmup =
-  let doc = "Warm-up excluded from the measurements, seconds." in
-  Arg.(value & opt float 30. & info [ "warmup"; "w" ] ~docv:"SEC" ~doc)
 
 let n1 =
   let doc = "Number of multipath (type-1) users." in
@@ -142,16 +130,6 @@ let trace_ring_opt =
     & opt int (1 lsl 18)
     & info [ "trace-ring" ] ~docv:"RECORDS" ~doc)
 
-let write_events_jsonl ~path events =
-  let oc = open_out path in
-  List.iter
-    (fun ev ->
-      output_string oc
-        (Mptcp_repro.Stats.Json.to_string (Obs.Trace.to_json ev));
-      output_char oc '\n')
-    events;
-  close_out oc
-
 (* Arm tracing for the duration of [f] via per-domain binary rings: the
    calling domain binds ring 0 (single-loop scenarios emit into it),
    sharded scenarios bind one ring per worker inside the window loop,
@@ -177,7 +155,7 @@ let with_obs_sinks ~trace ~report ~ring_capacity f =
            with a larger --trace-ring for a complete trace\n\
            %!"
           dropped;
-      Option.iter (fun path -> write_events_jsonl ~path events) trace;
+      Option.iter (fun path -> Obs.Trace.write_jsonl ~path events) trace;
       let acc =
         if report then begin
           let a = Obs.Report.create () in
@@ -437,226 +415,6 @@ let sweep_cmd =
         (const run_sweep $ scenario_pos $ axes_opt $ params_opt $ seeds_opt
         $ domains_opt $ out_opt $ agg_out_opt))
 
-(* --- scenario A --------------------------------------------------------- *)
-
-let run_scenario_a algo n1 n2 c1 c2 duration warmup seed =
-  let r =
-    S.Scen_a.run
-      { S.Scen_a.n1; n2; c1_mbps = c1; c2_mbps = c2; algo; duration; warmup;
-        seed }
-  in
-  Printf.printf
-    "scenario A (%s): type1 %.3f, type2 %.3f (normalized); p1 %.4f, p2 %.4f\n"
-    algo r.S.Scen_a.norm_type1 r.S.Scen_a.norm_type2 r.S.Scen_a.p1
-    r.S.Scen_a.p2
-
-let scenario_a_cmd =
-  let doc = "Scenario A: MPTCP streamers sharing an AP with TCP users." in
-  Cmd.v
-    (Cmd.info "scenario-a" ~doc)
-    Term.(
-      const run_scenario_a $ algo $ n1 $ n2 $ c1 $ c2 $ duration $ warmup
-      $ seed)
-
-(* --- scenario B --------------------------------------------------------- *)
-
-let run_scenario_b algo red_multipath cx ct duration warmup seed =
-  let r =
-    S.Scen_b.run
-      { S.Scen_b.n = 15; cx_mbps = cx; ct_mbps = ct; red_multipath; algo;
-        duration; warmup; seed }
-  in
-  Printf.printf
-    "scenario B (%s, red %s): blue %.2f, red %.2f Mb/s per user; aggregate \
-     %.1f Mb/s; pX %.4f, pT %.4f\n"
-    algo
-    (if red_multipath then "multipath" else "single-path")
-    r.S.Scen_b.blue_rate r.S.Scen_b.red_rate r.S.Scen_b.aggregate
-    r.S.Scen_b.px r.S.Scen_b.pt
-
-let scenario_b_cmd =
-  let red_mp =
-    Arg.(value & flag & info [ "red-multipath" ]
-           ~doc:"Red users upgrade to MPTCP.")
-  in
-  let cx =
-    Arg.(value & opt float 27. & info [ "cx" ] ~docv:"MBPS"
-           ~doc:"ISP X capacity.")
-  in
-  let ct =
-    Arg.(value & opt float 36. & info [ "ct" ] ~docv:"MBPS"
-           ~doc:"ISP T capacity.")
-  in
-  let doc = "Scenario B: the four-ISP multihoming story (Tables I-II)." in
-  Cmd.v
-    (Cmd.info "scenario-b" ~doc)
-    Term.(
-      const run_scenario_b $ algo $ red_mp $ cx $ ct $ duration $ warmup
-      $ seed)
-
-(* --- scenario C --------------------------------------------------------- *)
-
-let run_scenario_c algo n1 n2 c1 c2 duration warmup seed background
-    path_manager =
-  let r =
-    S.Scen_c.run
-      { S.Scen_c.n1; n2; c1_mbps = c1; c2_mbps = c2; algo; duration; warmup;
-        seed; background_mbps = background; with_path_manager = path_manager }
-  in
-  Printf.printf
-    "scenario C (%s): multipath %.3f, single %.3f (normalized); p1 %.4f, p2 \
-     %.4f\n"
-    algo r.S.Scen_c.norm_multipath r.S.Scen_c.norm_single r.S.Scen_c.p1
-    r.S.Scen_c.p2
-
-let scenario_c_cmd =
-  let background =
-    Arg.(value & opt float 0. & info [ "background" ] ~docv:"MBPS"
-           ~doc:"CBR background traffic through AP2.")
-  in
-  let path_manager =
-    Arg.(value & flag & info [ "path-manager" ]
-           ~doc:"Attach the bad-path-discarding manager to multipath users.")
-  in
-  let doc = "Scenario C: multipath users sharing AP2 with TCP users." in
-  Cmd.v
-    (Cmd.info "scenario-c" ~doc)
-    Term.(
-      const run_scenario_c $ algo $ n1 $ n2 $ c1 $ c2 $ duration $ warmup
-      $ seed $ background $ path_manager)
-
-(* --- traces -------------------------------------------------------------- *)
-
-let run_trace algo asymmetric duration seed =
-  let base =
-    if asymmetric then S.Two_bottleneck.asymmetric
-    else S.Two_bottleneck.symmetric
-  in
-  let t = S.Two_bottleneck.run { base with algo; duration; seed } in
-  Printf.printf
-    "two-bottleneck (%s, %s): goodput %.2f / %.2f Mb/s, window flips %d\n"
-    algo
-    (if asymmetric then "asymmetric" else "symmetric")
-    t.S.Two_bottleneck.goodput1_mbps t.S.Two_bottleneck.goodput2_mbps
-    t.S.Two_bottleneck.flip_count;
-  print_endline "t(s)  w1      w2      alpha1  alpha2";
-  let every = Stdlib.max 1 (int_of_float (duration /. 40.)) in
-  let w1 = Mptcp_repro.Stats.Timeseries.to_array t.S.Two_bottleneck.w1 in
-  let w2 = Mptcp_repro.Stats.Timeseries.to_array t.S.Two_bottleneck.w2 in
-  let a1 = Mptcp_repro.Stats.Timeseries.to_array t.S.Two_bottleneck.alpha1 in
-  let a2 = Mptcp_repro.Stats.Timeseries.to_array t.S.Two_bottleneck.alpha2 in
-  Array.iteri
-    (fun i (time, w) ->
-      if i mod (every * 10) = 0 then
-        Printf.printf "%5.1f %7.2f %7.2f %+.2f %+.2f\n" time w (snd w2.(i))
-          (snd a1.(i)) (snd a2.(i)))
-    w1
-
-let trace_cmd =
-  let asym =
-    Arg.(value & flag & info [ "asymmetric" ]
-           ~doc:"Use the Fig. 8 setting (5 vs 10 TCP flows).")
-  in
-  let doc = "Window and alpha traces of a two-path connection (Figs. 7-8)." in
-  Cmd.v
-    (Cmd.info "trace" ~doc)
-    Term.(const run_trace $ algo $ asym $ duration $ seed)
-
-(* --- fattree ------------------------------------------------------------- *)
-
-let run_fattree algo k subflows rate duration warmup seed =
-  let r =
-    S.Fattree_static.run
-      { S.Fattree_static.k; rate_mbps = rate; delay_ms = 1.; subflows; algo;
-        duration; warmup; seed }
-  in
-  Printf.printf
-    "fattree k=%d %s sf=%d: aggregate %.1f%% of optimal, mean core loss %.4f\n"
-    k algo subflows r.S.Fattree_static.aggregate_pct_optimal
-    r.S.Fattree_static.mean_core_loss
-
-let k_arg =
-  Arg.(value & opt int 8 & info [ "k" ] ~docv:"K"
-         ~doc:"FatTree arity (even; k=8 gives 128 hosts).")
-
-let subflows =
-  Arg.(value & opt int 8 & info [ "subflows"; "s" ] ~docv:"N"
-         ~doc:"MPTCP subflows per connection (1 = plain TCP).")
-
-let rate =
-  Arg.(value & opt float 10. & info [ "rate" ] ~docv:"MBPS"
-         ~doc:"Host link rate.")
-
-let fattree_cmd =
-  let doc = "Static FatTree permutation experiment (Fig. 13)." in
-  Cmd.v
-    (Cmd.info "fattree" ~doc)
-    Term.(
-      const run_fattree $ algo $ k_arg $ subflows $ rate $ duration $ warmup
-      $ seed)
-
-let run_fattree_dynamic algo k subflows rate duration warmup seed =
-  let r =
-    S.Fattree_dynamic.run
-      { S.Fattree_dynamic.k; rate_mbps = rate; delay_ms = 1.;
-        oversubscription = 4.; algo; subflows; mean_interval = 0.2; duration;
-        warmup; seed }
-  in
-  Printf.printf
-    "fattree-dynamic k=%d %s: short flows %.0f ± %.0f ms, core %.1f%%, long \
-     %.2f Mb/s (%d shorts unfinished)\n"
-    k algo r.S.Fattree_dynamic.mean_completion_ms
-    r.S.Fattree_dynamic.stdev_completion_ms
-    r.S.Fattree_dynamic.core_utilization_pct r.S.Fattree_dynamic.long_flow_mbps
-    r.S.Fattree_dynamic.unfinished_shorts
-
-let fattree_dynamic_cmd =
-  let rate =
-    Arg.(value & opt float 100. & info [ "rate" ] ~docv:"MBPS"
-           ~doc:"Host link rate.")
-  in
-  let doc = "Dynamic short-flow experiment (Fig. 14, Table III)." in
-  Cmd.v
-    (Cmd.info "fattree-dynamic" ~doc)
-    Term.(
-      const run_fattree_dynamic $ algo $ k_arg $ subflows $ rate $ duration
-      $ warmup $ seed)
-
-(* --- responsiveness --------------------------------------------------------- *)
-
-let run_responsiveness algo seed =
-  let r =
-    S.Responsiveness.run { S.Responsiveness.default with algo; seed }
-  in
-  Printf.printf
-    "responsiveness (%s): pre-shock share %.2f; flees in %.1f s; reclaims \
-     in %.1f s; post-relief share %.2f\n"
-    algo r.S.Responsiveness.pre_shock_share r.S.Responsiveness.shock_response_s
-    r.S.Responsiveness.relief_response_s r.S.Responsiveness.post_relief_share
-
-let responsiveness_cmd =
-  let doc = "Shock/relief responsiveness experiment (paper SII claim)." in
-  Cmd.v
-    (Cmd.info "responsiveness" ~doc)
-    Term.(const run_responsiveness $ algo $ seed)
-
-(* --- wireless ---------------------------------------------------------------- *)
-
-let run_wireless algo seed duration warmup =
-  let r =
-    S.Wireless.run { S.Wireless.default with algo; seed; duration; warmup }
-  in
-  Printf.printf
-    "wireless (%s): wifi %.2f + cellular %.2f = %.2f Mb/s (wifi timeouts %d)\n"
-    algo r.S.Wireless.wifi_mbps r.S.Wireless.cell_mbps r.S.Wireless.total_mbps
-    r.S.Wireless.wifi_timeouts
-
-let wireless_cmd =
-  let doc = "WiFi+cellular bonding with random wireless losses (ref. [12])." in
-  Cmd.v
-    (Cmd.info "wireless" ~doc)
-    Term.(const run_wireless $ algo $ seed $ duration $ warmup)
-
 (* --- fluid ---------------------------------------------------------------- *)
 
 let run_fluid scenario n1 n2 c1 c2 =
@@ -711,27 +469,15 @@ let fluid_cmd =
 
 module Json = Mptcp_repro.Stats.Json
 
-(* One traced run of the sharded FatTree: arm per-domain rings, run,
-   decode back to JSONL lines. The decoded sequence is the gate's raw
-   material — [--traced] byte-compares the N-shard decode against the
-   1-shard decode. *)
-let traced_lines cfg ~ring_capacity s =
-  Obs.Trace.arm_rings ~capacity:ring_capacity ();
-  match S.Fattree_sharded.run (cfg s) with
-  | exception e ->
-    Obs.Trace.disarm_rings ();
-    raise e
-  | (_ : S.Fattree_sharded.result) ->
-    let events = Obs.Trace.decode_rings () in
-    let dropped = Obs.Trace.rings_dropped () in
-    Obs.Trace.disarm_rings ();
-    if dropped > 0 then
-      invalid_arg
-        (Printf.sprintf
-           "shard-invariance: trace rings dropped %d events at --shards %d; \
-            raise --trace-ring so the byte comparison sees complete traces"
-           dropped s);
-    List.map (fun ev -> Json.to_string (Obs.Trace.to_json ev)) events
+(* One traced run of the sharded FatTree, decoded from per-domain
+   rings. The decoded sequence is the gate's raw material — [--traced]
+   byte-compares the N-shard decode against the 1-shard decode. A ring
+   overflow fails the gate ([Trace.record] refuses an incomplete
+   trace; raise --trace-ring). *)
+let traced_events cfg ~ring_capacity s =
+  snd
+    (Obs.Trace.record ~capacity:ring_capacity (fun () ->
+         ignore (S.Fattree_sharded.run (cfg s) : S.Fattree_sharded.result)))
 
 (* Run the sharded FatTree scenario at --shards 1 and --shards N with the
    same seed, compare banded metrics (the CI gate for the conservative
@@ -815,8 +561,14 @@ let run_shard_invariance k shards flows_per_host subflows rate algo duration
         Printf.printf
           "running traced legs (ring capacity %d records/domain) ...\n%!"
           trace_ring;
-        let base_lines = traced_lines cfg ~ring_capacity:trace_ring 1 in
-        let shd_lines = traced_lines cfg ~ring_capacity:trace_ring shards in
+        let lines evs =
+          List.map (fun ev -> Json.to_string (Obs.Trace.to_json ev)) evs
+        in
+        let base_lines =
+          lines (traced_events cfg ~ring_capacity:trace_ring 1)
+        in
+        let shd_events = traced_events cfg ~ring_capacity:trace_ring shards in
+        let shd_lines = lines shd_events in
         let identical = base_lines = shd_lines in
         Printf.printf
           "%s traced decode: %d events at shards=1, %d at shards=%d -- %s\n"
@@ -825,13 +577,7 @@ let run_shard_invariance k shards flows_per_host subflows rate algo duration
           (if identical then "byte-identical" else "traces diverge");
         Option.iter
           (fun path ->
-            let oc = open_out path in
-            List.iter
-              (fun l ->
-                output_string oc l;
-                output_char oc '\n')
-              shd_lines;
-            close_out oc;
+            Obs.Trace.write_jsonl ~path shd_events;
             Printf.printf "wrote decoded sharded trace %s\n" path)
           trace_out;
         Some (List.length base_lines, List.length shd_lines, identical)
@@ -930,6 +676,14 @@ let run_shard_invariance k shards flows_per_host subflows rate algo duration
   with Invalid_argument msg -> `Error (false, msg)
 
 let shard_invariance_cmd =
+  let k =
+    Arg.(value & opt int 8 & info [ "k" ] ~docv:"K"
+           ~doc:"FatTree arity (even; k=8 gives 128 hosts).")
+  in
+  let rate =
+    Arg.(value & opt float 10. & info [ "rate" ] ~docv:"MBPS"
+           ~doc:"Host link rate.")
+  in
   let shards =
     Arg.(value & opt int 4 & info [ "shards" ] ~docv:"N"
            ~doc:"Shard count compared against the --shards 1 baseline \
@@ -996,7 +750,7 @@ let shard_invariance_cmd =
     (Cmd.info "shard-invariance" ~doc ~man)
     Term.(
       ret
-        (const run_shard_invariance $ k_arg $ shards $ flows_per_host
+        (const run_shard_invariance $ k $ shards $ flows_per_host
         $ subflows $ rate $ algo $ duration $ warmup $ seed $ tolerance
         $ min_speedup $ traced $ trace_ring_opt $ trace_out $ out_opt))
 
@@ -1166,8 +920,6 @@ let () =
     (Cmd.eval
        (Cmd.group info ~default
           [
-            list_cmd; run_cmd; sweep_cmd; report_cmd; scenario_a_cmd;
-            scenario_b_cmd; scenario_c_cmd; trace_cmd; fattree_cmd;
-            fattree_dynamic_cmd; responsiveness_cmd; wireless_cmd; fluid_cmd;
+            list_cmd; run_cmd; sweep_cmd; report_cmd; fluid_cmd;
             shard_invariance_cmd; check_cmd;
           ]))

@@ -4,11 +4,13 @@
 
    Run with:  dune exec examples/datacenter_example.exe *)
 
-module Fs = Mptcp_repro.Scenarios.Fattree_static
+module Fs = Mptcp_repro.Scenarios.Fattree_sharded
 module Table = Mptcp_repro.Stats.Table
 
 let () =
-  let cfg = { Fs.default with k = 4; duration = 20.; warmup = 5. } in
+  let cfg =
+    { Fs.default with k = 4; flows_per_host = 1; duration = 20.; warmup = 5. }
+  in
   Printf.printf
     "FatTree k=%d (%d hosts), random permutation of long flows, %g Mb/s links\n\n"
     cfg.k

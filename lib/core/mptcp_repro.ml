@@ -68,7 +68,6 @@ end
 
 module Topology = struct
   module Duplex = Repro_topology.Duplex
-  module Fattree = Repro_topology.Fattree
   module Fattree_pods = Repro_topology.Fattree_pods
   module Graph = Repro_topology.Graph
   module Builder = Repro_topology.Builder
@@ -108,7 +107,6 @@ module Scenarios = struct
   module Two_bottleneck = Repro_scenarios.Two_bottleneck
   module Responsiveness = Repro_scenarios.Responsiveness
   module Wireless = Repro_scenarios.Wireless
-  module Fattree_static = Repro_scenarios.Fattree_static
   module Fattree_dynamic = Repro_scenarios.Fattree_dynamic
   module Fattree_sharded = Repro_scenarios.Fattree_sharded
 end

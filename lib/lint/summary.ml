@@ -69,20 +69,7 @@ let last2 name =
   | f :: m :: _ -> m ^ "." ^ f
   | _ -> name
 
-(* [Trace.sink_armed] guards the variant-sink fallback inside the
-   scalar emission functions: the branch allocates the event record,
-   but only runs in sink mode (single-domain, explicitly armed), so it
-   is pruned from the R9 proof exactly like armed invariants. The bare
-   [sink_armed] entry matches the unqualified calls inside Trace
-   itself ([last2] keeps a lone identifier as-is). *)
-let guard_fns =
-  [
-    "Invariant.enabled";
-    "Trace.enabled";
-    "Trace.sink_armed";
-    "sink_armed";
-    "Profile.enabled";
-  ]
+let guard_fns = [ "Invariant.enabled"; "Trace.enabled"; "Profile.enabled" ]
 let error_fns = [ "invalid_arg"; "failwith"; "raise"; "raise_notrace" ]
 
 let allocating_fns =

@@ -133,6 +133,5 @@ val run_windows :
     worker binds its own ring under its shard id — the decoded merge
     reproduces the sequential event order — and each worker's profile
     table is tagged with its shard (barrier wait accounted under
-    ["shard.barrier"]). The process-global variant sink stays
-    single-domain only; arm rings to trace sharded runs. Worker
-    exceptions are re-raised after all domains have been joined. *)
+    ["shard.barrier"]). Worker exceptions are re-raised after all
+    domains have been joined. *)

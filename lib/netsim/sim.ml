@@ -768,6 +768,8 @@ let[@olia.alloc_free] dispatch t =
   end
 
 let run_until t horizon =
+  if horizon -. horizon <> 0. then
+    invalid_arg "Sim.run_until: non-finite horizon";
   let continue = ref true in
   while !continue && t.len > 0 do
     if t.due_head >= t.due_len then advance t;

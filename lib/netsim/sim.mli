@@ -121,7 +121,8 @@ val every : ?src:string -> ?start:float -> t -> float -> (unit -> unit) -> Timer
 
 val run_until : t -> float -> unit
 (** Process events in order until no event remains at or before the
-    horizon; the clock ends at the horizon. *)
+    horizon; the clock ends at the horizon. Raises [Invalid_argument]
+    if the horizon is not finite. *)
 
 val run : t -> unit
 (** Process events until none remain. Periodic timers re-arm forever,

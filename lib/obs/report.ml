@@ -1,5 +1,5 @@
-(* Flight-recorder analysis: fold a stream of trace events — live via
-   [feed] as a sink, or offline via [load_jsonl] — into per-queue
+(* Flight-recorder analysis: fold a stream of trace events — decoded
+   rings via [feed], or offline via [load_jsonl] — into per-queue
    latency/drop statistics and per-subflow RTT/cwnd/state summaries.
 
    Everything here is a pure function of the event stream, which for a

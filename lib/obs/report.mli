@@ -1,7 +1,7 @@
 (** Flight-recorder analysis: fold trace events into per-queue latency
     and drop statistics plus per-subflow RTT/cwnd/state summaries.
 
-    Feed an accumulator live (install [feed t] as the trace sink) or
+    Feed an accumulator with decoded events ({!Trace.decode_rings}) or
     offline from a JSONL trace file; then render with {!to_json} — a
     deterministic document, byte-identical across runs for a fixed
     seed, because no wall-clock data ever enters a report — or
@@ -23,7 +23,7 @@ type t
 val create : unit -> t
 
 val feed : t -> Trace.event -> unit
-(** Fold one event in. [feed t] is directly usable as a trace sink. *)
+(** Fold one event in. *)
 
 val load_jsonl : path:string -> (t, string) result
 (** Replay a JSONL trace file through a fresh accumulator. Blank lines

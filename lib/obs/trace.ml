@@ -6,8 +6,7 @@
    so the tracing-off hot path neither allocates nor branches beyond
    that one test. Events are plain records of scalars — no closures,
    no lazy thunks — and serialize through [Repro_stats.Json] to JSONL
-   (one compact object per line), which `olia_sim run --trace` and the
-   OLIA_TRACE environment variable arm. *)
+   (one compact object per line), which `olia_sim run --trace` arms. *)
 
 module Json = Repro_stats.Json
 
@@ -358,29 +357,16 @@ let intern_name id =
         invalid_arg (Printf.sprintf "Trace.intern_name: unknown id %d" id);
       !intern_names.(id))
 
-(* --- sinks and rings -------------------------------------------------- *)
+(* --- rings ----------------------------------------------------------- *)
 
-(* Two armed modes share one [enabled] guard:
-
-   - sink mode (the original design): a process-global [event -> unit]
-     callback, mutex-serialized, fed by single-domain runs;
-   - ring mode: each participating domain binds its own pre-allocated
-     {!Ring}, emission is a lock-free single-writer binary append, and
-     {!decode_rings} merges the rings offline back into the JSONL event
-     order.
-
-   A domain with a bound ring always writes the ring; the sink is the
-   fallback for armed-but-unbound domains (i.e. the classic
-   single-domain workflow). *)
-
-(* lint: allow R2 R10 -- process-global trace sink, armed once by the CLI or test setup before the (single-domain) traced run starts *)
-let sink : (event -> unit) option ref = ref None
-
-(* lint: allow R2 -- paired with [sink]: the channel behind the JSONL writer, managed only by open_jsonl/close *)
-let chan : out_channel option ref = ref None
+(* Armed tracing is per domain: each participating domain binds its own
+   pre-allocated {!Ring}, emission is a lock-free single-writer binary
+   append, and {!decode_rings} merges the rings offline back into the
+   JSONL event order. An armed domain that bound no ring emits
+   nothing. *)
 
 (* lint: allow R2 R10 -- ring-mode arming flag, flipped only between runs (arm_rings/disarm_rings) *)
-let rings_on = ref false
+let armed = ref false
 
 (* lint: allow R2 R10 -- ring capacity for subsequent bind_ring calls, set by arm_rings before workers start *)
 let ring_capacity = ref (1 lsl 16)
@@ -394,49 +380,8 @@ let registry : (int * Ring.t) list ref = ref []
 (* lint: allow R2 R10 -- registration counter for [registry], bumped under [lock] *)
 let reg_count = ref 0
 
-(* lint: allow R2 R10 -- the one-ref-read guard behind every instrumentation site; recomputed from sink/rings state under [lock] *)
-let armed = ref false
-
 let lock = Mutex.create ()
 let[@inline] enabled () = !armed
-let[@inline] sink_armed () = Option.is_some !sink
-let rings_armed () = !rings_on
-let recompute_armed () = armed := !rings_on || Option.is_some !sink
-
-let emit_sink ev =
-  match !sink with
-  | None -> ()
-  | Some f -> Mutex.protect lock (fun () -> f ev)
-
-let close () =
-  Mutex.protect lock (fun () ->
-      (match !chan with
-      | Some oc ->
-        flush oc;
-        if oc != stderr then close_out oc
-      | None -> ());
-      chan := None;
-      sink := None;
-      recompute_armed ())
-
-let set_sink f =
-  sink := f;
-  recompute_armed ()
-
-let jsonl_writer oc ev =
-  output_string oc (Json.to_string (to_json ev));
-  output_char oc '\n'
-
-let open_jsonl ~path =
-  close ();
-  let oc = open_out path in
-  chan := Some oc;
-  sink := Some (jsonl_writer oc);
-  recompute_armed ()
-
-let with_jsonl ~path f =
-  open_jsonl ~path;
-  Fun.protect ~finally:close f
 
 (* --- per-domain ring binding and dispatch context --------------------- *)
 
@@ -449,12 +394,15 @@ let ring_key = Domain.DLS.new_key (fun () -> Ring.null)
    lets N per-shard rings merge back into exactly the sequential
    dispatch order: records of one dispatch share the key, and distinct
    same-instant dispatches are ordered by [(sched, class, packet
-   identity)] — the scheduler's own shard-invariant tie-break. *)
+   identity)] — the scheduler's own shard-invariant tie-break. The
+   last int word numbers the domain's dispatches, so the decoder can
+   tell where one dispatch's records end and keep them in emission
+   order. *)
 type dctx = { cf : floatarray; ci : int array }
 
 let ctx_key =
   Domain.DLS.new_key (fun () ->
-      { cf = Float.Array.make 1 0.; ci = Array.make 5 0 })
+      { cf = Float.Array.make 1 0.; ci = Array.make 6 0 })
 
 let[@inline] set_dispatch_ctx ~sched ~cls ~flow ~subflow ~pseq ~kind =
   let c = Domain.DLS.get ctx_key in
@@ -463,7 +411,8 @@ let[@inline] set_dispatch_ctx ~sched ~cls ~flow ~subflow ~pseq ~kind =
   Array.unsafe_set c.ci 1 flow;
   Array.unsafe_set c.ci 2 subflow;
   Array.unsafe_set c.ci 3 pseq;
-  Array.unsafe_set c.ci 4 kind
+  Array.unsafe_set c.ci 4 kind;
+  Array.unsafe_set c.ci 5 (Array.unsafe_get c.ci 5 + 1)
 
 let arm_rings ?capacity ?policy () =
   Mutex.protect lock (fun () ->
@@ -475,26 +424,32 @@ let arm_rings ?capacity ?policy () =
       (match policy with Some p -> ring_policy := p | None -> ());
       registry := [];
       reg_count := 0;
-      rings_on := true;
-      recompute_armed ())
+      armed := true)
 
 let bind_ring ~shard =
-  if not !rings_on then
+  if not !armed then
     invalid_arg "Trace.bind_ring: rings are not armed (call arm_rings first)";
-  let r = Ring.create ~shard ~capacity:!ring_capacity ~policy:!ring_policy in
-  Mutex.protect lock (fun () ->
-      registry := (!reg_count, r) :: !registry;
-      incr reg_count);
-  Domain.DLS.set ring_key r
+  let cur = Domain.DLS.get ring_key in
+  let kept =
+    Ring.shard cur = shard
+    && Mutex.protect lock (fun () ->
+           List.exists (fun (_, r) -> r == cur) !registry)
+  in
+  if not kept then begin
+    let r = Ring.create ~shard ~capacity:!ring_capacity ~policy:!ring_policy in
+    Mutex.protect lock (fun () ->
+        registry := (!reg_count, r) :: !registry;
+        incr reg_count);
+    Domain.DLS.set ring_key r
+  end
 
 let unbind_ring () = Domain.DLS.set ring_key Ring.null
 
 let disarm_rings () =
   Mutex.protect lock (fun () ->
-      rings_on := false;
+      armed := false;
       registry := [];
-      reg_count := 0;
-      recompute_armed ());
+      reg_count := 0);
   unbind_ring ()
 
 let rings_dropped () =
@@ -505,8 +460,8 @@ let rings_dropped () =
 
 (* Record layout (owned here, storage in {!Ring}). Int words:
    0 tag, 1 dispatch class, 2-5 dispatching packet identity
-   (flow, subflow, seq, kind), 6.. payload. Float words: 0 event time,
-   1 dispatch sched key, 2-3 payload. *)
+   (flow, subflow, seq, kind), 6-11 payload, 12 dispatch number.
+   Float words: 0 event time, 1 dispatch sched key, 2-3 payload. *)
 
 let tag_pkt_enqueue = 0
 let tag_pkt_drop = 1
@@ -530,16 +485,15 @@ let[@inline] write_header r tag time =
   Ring.set_i r s 3 (Array.unsafe_get c.ci 2);
   Ring.set_i r s 4 (Array.unsafe_get c.ci 3);
   Ring.set_i r s 5 (Array.unsafe_get c.ci 4);
+  Ring.set_i r s 12 (Array.unsafe_get c.ci 5);
   s
 
 (* The scalar emission functions: the armed hot path. With a bound ring
    each is a claim plus unboxed word stores — zero minor allocation,
    proven by the R9 roots below. [@inline] matters as much as the body:
    without it every float argument boxes at the call boundary (this
-   repo builds without flambda), exactly like [Sim.schedule_after]. The
-   sink branch (armed but unbound: the classic single-domain workflow)
-   builds the event record and is pruned from the proof by the
-   [sink_armed] guard. *)
+   repo builds without flambda), exactly like [Sim.schedule_after]. An
+   armed domain that bound no ring writes nothing. *)
 
 let[@inline] [@olia.alloc_free] pkt_enqueue ~time ~queue ~flow ~subflow ~seq ~kind
     ~backlog =
@@ -553,18 +507,6 @@ let[@inline] [@olia.alloc_free] pkt_enqueue ~time ~queue ~flow ~subflow ~seq ~ki
     Ring.set_i r s 10 kind;
     Ring.set_i r s 11 backlog
   end
-  else if sink_armed () then
-    emit_sink
-      (Pkt_enqueue
-         {
-           time;
-           queue = intern_name queue;
-           flow;
-           subflow;
-           seq;
-           kind = kind_name_of_code kind;
-           backlog;
-         })
 
 let[@inline] [@olia.alloc_free] pkt_drop ~time ~queue ~flow ~subflow ~seq ~kind ~cause =
   let r = Domain.DLS.get ring_key in
@@ -577,18 +519,6 @@ let[@inline] [@olia.alloc_free] pkt_drop ~time ~queue ~flow ~subflow ~seq ~kind 
     Ring.set_i r s 10 kind;
     Ring.set_i r s 11 (cause_code cause)
   end
-  else if sink_armed () then
-    emit_sink
-      (Pkt_drop
-         {
-           time;
-           queue = intern_name queue;
-           flow;
-           subflow;
-           seq;
-           kind = kind_name_of_code kind;
-           cause;
-         })
 
 let[@inline] [@olia.alloc_free] pkt_forward ~time ~queue ~flow ~subflow ~seq ~kind
     ~bytes ~qdelay =
@@ -603,19 +533,6 @@ let[@inline] [@olia.alloc_free] pkt_forward ~time ~queue ~flow ~subflow ~seq ~ki
     Ring.set_i r s 10 kind;
     Ring.set_i r s 11 bytes
   end
-  else if sink_armed () then
-    emit_sink
-      (Pkt_forward
-         {
-           time;
-           queue = intern_name queue;
-           flow;
-           subflow;
-           seq;
-           kind = kind_name_of_code kind;
-           bytes;
-           qdelay;
-         })
 
 let[@inline] [@olia.alloc_free] tcp_state ~time ~flow ~subflow ~from_state ~to_state =
   let r = Domain.DLS.get ring_key in
@@ -626,8 +543,6 @@ let[@inline] [@olia.alloc_free] tcp_state ~time ~flow ~subflow ~from_state ~to_s
     Ring.set_i r s 8 (state_code from_state);
     Ring.set_i r s 9 (state_code to_state)
   end
-  else if sink_armed () then
-    emit_sink (Tcp_state { time; flow; subflow; from_state; to_state })
 
 let[@inline] [@olia.alloc_free] cwnd_update ~time ~flow ~subflow ~cwnd ~ssthresh =
   let r = Domain.DLS.get ring_key in
@@ -638,8 +553,6 @@ let[@inline] [@olia.alloc_free] cwnd_update ~time ~flow ~subflow ~cwnd ~ssthresh
     Ring.set_i r s 6 flow;
     Ring.set_i r s 7 subflow
   end
-  else if sink_armed () then
-    emit_sink (Cwnd_update { time; flow; subflow; cwnd; ssthresh })
 
 let[@inline] [@olia.alloc_free] rto_fired ~time ~flow ~subflow ~rto =
   let r = Domain.DLS.get ring_key in
@@ -649,7 +562,6 @@ let[@inline] [@olia.alloc_free] rto_fired ~time ~flow ~subflow ~rto =
     Ring.set_i r s 6 flow;
     Ring.set_i r s 7 subflow
   end
-  else if sink_armed () then emit_sink (Rto_fired { time; flow; subflow; rto })
 
 let[@inline] [@olia.alloc_free] rtt_sample ~time ~flow ~subflow ~rtt ~srtt =
   let r = Domain.DLS.get ring_key in
@@ -660,8 +572,6 @@ let[@inline] [@olia.alloc_free] rtt_sample ~time ~flow ~subflow ~rtt ~srtt =
     Ring.set_i r s 6 flow;
     Ring.set_i r s 7 subflow
   end
-  else if sink_armed () then
-    emit_sink (Rtt_sample { time; flow; subflow; rtt; srtt })
 
 let[@inline] [@olia.alloc_free] subflow_add ~time ~flow ~subflow =
   let r = Domain.DLS.get ring_key in
@@ -670,7 +580,6 @@ let[@inline] [@olia.alloc_free] subflow_add ~time ~flow ~subflow =
     Ring.set_i r s 6 flow;
     Ring.set_i r s 7 subflow
   end
-  else if sink_armed () then emit_sink (Subflow_add { time; flow; subflow })
 
 let[@inline] [@olia.alloc_free] subflow_remove ~time ~flow ~subflow =
   let r = Domain.DLS.get ring_key in
@@ -679,39 +588,34 @@ let[@inline] [@olia.alloc_free] subflow_remove ~time ~flow ~subflow =
     Ring.set_i r s 6 flow;
     Ring.set_i r s 7 subflow
   end
-  else if sink_armed () then emit_sink (Subflow_remove { time; flow; subflow })
 
-(* Variant-level compatibility entry point: tests and external callers
-   that hold an {!event} go through the same paths as the scalar
-   functions (ring if bound, sink otherwise). Queue names re-intern, so
+(* Variant-level entry point: tests and external callers that hold an
+   {!event} go through the scalar functions. Queue names re-intern, so
    a ring round-trip preserves them. *)
 let emit ev =
-  let r = Domain.DLS.get ring_key in
-  if r == Ring.null then emit_sink ev
-  else
-    match ev with
-    | Pkt_enqueue { time; queue; flow; subflow; seq; kind; backlog } ->
-      pkt_enqueue ~time ~queue:(intern queue) ~flow ~subflow ~seq
-        ~kind:(if kind = "ack" then 1 else 0)
-        ~backlog
-    | Pkt_drop { time; queue; flow; subflow; seq; kind; cause } ->
-      pkt_drop ~time ~queue:(intern queue) ~flow ~subflow ~seq
-        ~kind:(if kind = "ack" then 1 else 0)
-        ~cause
-    | Pkt_forward { time; queue; flow; subflow; seq; kind; bytes; qdelay } ->
-      pkt_forward ~time ~queue:(intern queue) ~flow ~subflow ~seq
-        ~kind:(if kind = "ack" then 1 else 0)
-        ~bytes ~qdelay
-    | Tcp_state { time; flow; subflow; from_state; to_state } ->
-      tcp_state ~time ~flow ~subflow ~from_state ~to_state
-    | Cwnd_update { time; flow; subflow; cwnd; ssthresh } ->
-      cwnd_update ~time ~flow ~subflow ~cwnd ~ssthresh
-    | Rto_fired { time; flow; subflow; rto } -> rto_fired ~time ~flow ~subflow ~rto
-    | Rtt_sample { time; flow; subflow; rtt; srtt } ->
-      rtt_sample ~time ~flow ~subflow ~rtt ~srtt
-    | Subflow_add { time; flow; subflow } -> subflow_add ~time ~flow ~subflow
-    | Subflow_remove { time; flow; subflow } ->
-      subflow_remove ~time ~flow ~subflow
+  match ev with
+  | Pkt_enqueue { time; queue; flow; subflow; seq; kind; backlog } ->
+    pkt_enqueue ~time ~queue:(intern queue) ~flow ~subflow ~seq
+      ~kind:(if kind = "ack" then 1 else 0)
+      ~backlog
+  | Pkt_drop { time; queue; flow; subflow; seq; kind; cause } ->
+    pkt_drop ~time ~queue:(intern queue) ~flow ~subflow ~seq
+      ~kind:(if kind = "ack" then 1 else 0)
+      ~cause
+  | Pkt_forward { time; queue; flow; subflow; seq; kind; bytes; qdelay } ->
+    pkt_forward ~time ~queue:(intern queue) ~flow ~subflow ~seq
+      ~kind:(if kind = "ack" then 1 else 0)
+      ~bytes ~qdelay
+  | Tcp_state { time; flow; subflow; from_state; to_state } ->
+    tcp_state ~time ~flow ~subflow ~from_state ~to_state
+  | Cwnd_update { time; flow; subflow; cwnd; ssthresh } ->
+    cwnd_update ~time ~flow ~subflow ~cwnd ~ssthresh
+  | Rto_fired { time; flow; subflow; rto } -> rto_fired ~time ~flow ~subflow ~rto
+  | Rtt_sample { time; flow; subflow; rtt; srtt } ->
+    rtt_sample ~time ~flow ~subflow ~rtt ~srtt
+  | Subflow_add { time; flow; subflow } -> subflow_add ~time ~flow ~subflow
+  | Subflow_remove { time; flow; subflow } ->
+    subflow_remove ~time ~flow ~subflow
 
 (* --- offline decoding ------------------------------------------------- *)
 
@@ -803,67 +707,100 @@ let event_of_record r s =
       }
   else invalid_arg (Printf.sprintf "Trace: unknown record tag %d" tag)
 
-(* One decoded record with its merge key. [rank] orders rings (by
-   shard, then registration order) and [pos] preserves each ring's own
-   emission order for otherwise-equal keys. *)
-type view = {
-  v_time : float;
-  v_sched : float;
-  v_cls : int;
-  v_dflow : int;
-  v_dsub : int;
-  v_dpseq : int;
-  v_dkind : int;
-  v_rank : int;
-  v_pos : int;
-  v_ev : event;
+(* One dispatch's records from one ring, in emission order, with the
+   dispatch key they share. [rank] orders rings (by shard, then
+   registration order) and [pos] is the block's first in-ring index. *)
+type block = {
+  b_time : float;
+  b_sched : float;
+  b_cls : int;
+  b_dflow : int;
+  b_dsub : int;
+  b_dpseq : int;
+  b_dkind : int;
+  b_rank : int;
+  b_pos : int;
+  b_evs : event list;
 }
 
-let compare_view a b =
-  let c = Float.compare a.v_time b.v_time in
+let compare_block a b =
+  let c = Float.compare a.b_time b.b_time in
   if c <> 0 then c
   else
-    let c = Float.compare a.v_sched b.v_sched in
+    let c = Float.compare a.b_sched b.b_sched in
     if c <> 0 then c
     else
-      let c = Int.compare a.v_cls b.v_cls in
+      let c = Int.compare a.b_cls b.b_cls in
       if c <> 0 then c
       else
-        let c = Int.compare a.v_dflow b.v_dflow in
+        let c = Int.compare a.b_dflow b.b_dflow in
         if c <> 0 then c
         else
-          let c = Int.compare a.v_dsub b.v_dsub in
+          let c = Int.compare a.b_dsub b.b_dsub in
           if c <> 0 then c
           else
-            let c = Int.compare a.v_dpseq b.v_dpseq in
+            let c = Int.compare a.b_dpseq b.b_dpseq in
             if c <> 0 then c
             else
-              let c = Int.compare a.v_dkind b.v_dkind in
+              let c = Int.compare a.b_dkind b.b_dkind in
               if c <> 0 then c
               else
                 (* The dispatch key can tie across distinct dispatches:
                    closure dispatches carry no packet identity (two
                    queue-serve completions armed and firing at the same
                    instants are common on the service-time lattice), and
-                   they can run on different shards. The record's own
-                   content is shard-invariant, so it canonicalizes the
-                   order — the same regrouping on a 1-ring decode and an
-                   N-ring decode. Structural compare of the decoded
-                   event is total and deterministic (ints, floats,
+                   they can run on different shards. A dispatch's
+                   records are shard-invariant, so comparing them
+                   canonicalizes the order — the same on a 1-ring decode
+                   and an N-ring decode. Structural compare of decoded
+                   events is total and deterministic (ints, floats,
                    interned-back strings). *)
-                let c = Stdlib.compare a.v_ev b.v_ev in
+                let c = Stdlib.compare a.b_evs b.b_evs in
                 if c <> 0 then c
                 else
-                  let c = Int.compare a.v_rank b.v_rank in
-                  if c <> 0 then c else Int.compare a.v_pos b.v_pos
+                  let c = Int.compare a.b_rank b.b_rank in
+                  if c <> 0 then c else Int.compare a.b_pos b.b_pos
+
+(* Split one ring into dispatch blocks: runs of records carrying the
+   same dispatch number. *)
+let ring_blocks (rank, r) =
+  let n = Ring.length r in
+  let dispatch i = Ring.get_i r (Ring.slot_of_index r i) 12 in
+  let rec take d j evs =
+    if j < n && dispatch j = d then
+      take d (j + 1) (event_of_record r (Ring.slot_of_index r j) :: evs)
+    else (j, List.rev evs)
+  in
+  let rec go i acc =
+    if i >= n then acc
+    else
+      let s = Ring.slot_of_index r i in
+      let j, evs = take (Ring.get_i r s 12) i [] in
+      go j
+        ({
+           b_time = Ring.get_f r s 0;
+           b_sched = Ring.get_f r s 1;
+           b_cls = Ring.get_i r s 1;
+           b_dflow = Ring.get_i r s 2;
+           b_dsub = Ring.get_i r s 3;
+           b_dpseq = Ring.get_i r s 4;
+           b_dkind = Ring.get_i r s 5;
+           b_rank = rank;
+           b_pos = i;
+           b_evs = evs;
+         }
+        :: acc)
+  in
+  go 0 []
 
 (* Merge every bound ring's records into the canonical event order:
-   sort by [(time, sched, class, dispatching-packet identity)] — the
-   scheduler's own dispatch order — then by record content, with ring
-   rank and in-ring position closing the order. Every component before
-   rank/pos is shard-invariant, so a 1-ring decode and an N-ring decode
-   of the same run order identically: that is the byte-identity the
-   shard-invariance gate checks. *)
+   dispatch blocks sort by [(time, sched, class, dispatching-packet
+   identity)] — the scheduler's own dispatch order — then by their
+   records, with ring rank and in-ring position closing the order, and
+   each block keeps its records in emission order. Every component
+   before rank/pos is shard-invariant, so a 1-ring decode and an N-ring
+   decode of the same run order identically: that is the byte-identity
+   the shard-invariance gate checks. *)
 let decode_rings () =
   let rings =
     Mutex.protect lock (fun () ->
@@ -873,37 +810,28 @@ let decode_rings () =
             if c <> 0 then c else Int.compare ra rb)
           !registry)
   in
-  let views =
-    List.concat_map
-      (fun (rank, r) ->
-        List.init (Ring.length r) (fun i ->
-            let s = Ring.slot_of_index r i in
-            {
-              v_time = Ring.get_f r s 0;
-              v_sched = Ring.get_f r s 1;
-              v_cls = Ring.get_i r s 1;
-              v_dflow = Ring.get_i r s 2;
-              v_dsub = Ring.get_i r s 3;
-              v_dpseq = Ring.get_i r s 4;
-              v_dkind = Ring.get_i r s 5;
-              v_rank = rank;
-              v_pos = i;
-              v_ev = event_of_record r s;
-            }))
-      rings
-  in
-  List.map (fun v -> v.v_ev) (List.sort compare_view views)
+  List.concat_map
+    (fun b -> b.b_evs)
+    (List.sort compare_block (List.concat_map ring_blocks rings))
 
-(* OLIA_TRACE=1 (or true/yes/on) streams JSONL to stderr; any other
-   non-empty value is taken as an output path. *)
-let () =
-  match Sys.getenv_opt "OLIA_TRACE" with
-  | None | Some "" | Some "0" -> ()
-  | Some ("1" | "true" | "yes" | "on") ->
-    chan := Some stderr;
-    sink := Some (jsonl_writer stderr);
-    recompute_armed ();
-    at_exit close
-  | Some path ->
-    open_jsonl ~path;
-    at_exit close
+let record ~capacity f =
+  arm_rings ~capacity ();
+  Fun.protect ~finally:disarm_rings (fun () ->
+      bind_ring ~shard:0;
+      let r = f () in
+      let dropped = rings_dropped () in
+      if dropped > 0 then
+        invalid_arg
+          (Printf.sprintf
+             "Trace.record: rings dropped %d records; raise the capacity \
+              (%d records per ring)"
+             dropped capacity);
+      (r, decode_rings ()))
+
+let write_jsonl ~path events =
+  Out_channel.with_open_text path (fun oc ->
+      List.iter
+        (fun ev ->
+          output_string oc (Json.to_string (to_json ev));
+          output_char oc '\n')
+        events)

@@ -3,27 +3,16 @@
     Instrumentation sites in [lib/netsim] call the scalar emission
     functions ({!pkt_enqueue}, {!cwnd_update}, ...) only when {!enabled}
     returns true, so the tracing-off path costs one ref read and
-    allocates nothing. Armed, there are two delivery modes:
+    allocates nothing. Armed, each participating domain binds a
+    pre-allocated binary {!Ring} with {!bind_ring}; emission is a
+    fixed-width record write — zero minor allocation, covered by the R9
+    [\[@olia.alloc_free\]] proof — and {!decode_rings} merges the rings
+    offline back into the exact sequential event order. {!record} wraps
+    that lifecycle around one run on the calling domain.
 
-    - {b ring mode} (the sharded and default CLI path): each
-      participating domain binds a pre-allocated binary {!Ring} with
-      {!bind_ring}; emission is a fixed-width record write — zero minor
-      allocation, covered by the R9 [\[@olia.alloc_free\]] proof — and
-      {!decode_rings} merges the rings offline back into the exact
-      sequential event order;
-    - {b sink mode} (the original design, kept for tests and streaming):
-      a process-global [event -> unit] callback fed variant events,
-      armed via {!set_sink} / {!open_jsonl} or the [OLIA_TRACE]
-      environment variable ([1]/[true]/[yes]/[on] for stderr, any other
-      non-empty value for an output path). Sink mode allocates per
-      event and serializes writers with a mutex; arm it around
-      single-domain runs only.
-
-    A domain with a bound ring always writes its ring; the sink serves
-    armed-but-unbound domains. Either way the JSONL wire format — one
-    compact [Repro_stats.Json] object per line, led by an ["ev"]
-    discriminator — is unchanged: ring records decode back to the same
-    {!event} values. *)
+    The JSONL wire format — one compact [Repro_stats.Json] object per
+    line, led by an ["ev"] discriminator — is what {!write_jsonl}
+    writes: ring records decode back to the same {!event} values. *)
 
 type tcp_state = Slow_start | Congestion_avoidance | Fast_recovery
 
@@ -133,35 +122,12 @@ val intern_name : int -> string
 (** {1 Arming} *)
 
 val enabled : unit -> bool
-(** One ref read — true when either a sink is set or rings are armed.
-    Instrumentation sites must guard emission with it. *)
-
-val sink_armed : unit -> bool
-(** True when a variant sink is installed. The R9 lint treats this as a
-    guard: the sink branch of the scalar emission functions (which
-    allocates the event record) is pruned from the allocation-freedom
-    proof, exactly like [Invariant.enabled]. *)
-
-val set_sink : (event -> unit) option -> unit
-(** Install a custom sink (tests) or disarm with [None]. *)
-
-val open_jsonl : path:string -> unit
-(** Arm tracing into a fresh JSONL file, closing any previous sink. *)
-
-val close : unit -> unit
-(** Flush and close the JSONL sink, disarming sink mode. *)
-
-val with_jsonl : path:string -> (unit -> 'a) -> 'a
-(** [open_jsonl], run the thunk, [close] — also on exceptions. *)
-
-(** {1 Ring mode} *)
-
-val rings_armed : unit -> bool
-(** True between {!arm_rings} and {!disarm_rings}. Worker loops use it
-    to decide whether to {!bind_ring}. *)
+(** One ref read — true while rings are armed. Instrumentation sites
+    must guard emission with it, and worker loops use it to decide
+    whether to {!bind_ring}. *)
 
 val arm_rings : ?capacity:int -> ?policy:Ring.policy -> unit -> unit
-(** Arm ring mode and reset the ring registry. Subsequent
+(** Arm tracing and reset the ring registry. Subsequent
     {!bind_ring} calls create rings of [capacity] records (default
     [65536]) with overflow [policy] (default [Drop_oldest]). Call
     before the traced run starts, from the orchestrating domain. *)
@@ -170,15 +136,18 @@ val bind_ring : shard:int -> unit
 (** Create a fresh ring for the calling domain, register it under
     [shard], and install it in domain-local storage: every subsequent
     armed emission on this domain writes the ring. Workers call this
-    once at window-loop start. Raises [Invalid_argument] if rings are
-    not armed. *)
+    once at window-loop start. A domain that already holds a ring of
+    this arming under the same [shard] keeps it, so a run nested in
+    {!record} does not allocate a second ring. An armed domain without
+    a ring emits nothing. Raises [Invalid_argument] if rings are not
+    armed. *)
 
 val unbind_ring : unit -> unit
 (** Detach the calling domain from its ring (the ring stays
     registered for decoding). *)
 
 val disarm_rings : unit -> unit
-(** Disarm ring mode and drop the registry. Decode first. *)
+(** Disarm tracing and drop the registry. Decode first. *)
 
 val rings_dropped : unit -> int
 (** Total records lost to [Drop_oldest] overflow across all registered
@@ -186,22 +155,35 @@ val rings_dropped : unit -> int
     need a bigger capacity. *)
 
 val decode_rings : unit -> event list
-(** Merge every registered ring into the canonical event order:
-    records sort by their dispatch key [(time, sched, class,
-    dispatching-packet identity)] — the scheduler's own dispatch order
-    — then by record content (closure dispatches carry no packet
-    identity, so same-instant serve completions need it), with ring
-    rank and in-ring position as the final tie-break. Every component
-    before rank/pos is shard-invariant, so an N-shard decode is
-    byte-identical to the 1-shard decode of the same seed. *)
+(** Merge every registered ring into the canonical event order. Each
+    ring splits into dispatch blocks (the records one scheduler
+    dispatch wrote, in emission order); blocks sort by their dispatch
+    key [(time, sched, class, dispatching-packet identity)] — the
+    scheduler's own dispatch order — then by their records (closure
+    dispatches carry no packet identity, so same-instant serve
+    completions need it), with ring rank and in-ring position as the
+    final tie-break. Every component before rank/pos is
+    shard-invariant, so an N-shard decode is byte-identical to the
+    1-shard decode of the same seed, and a 1-ring decode is the
+    emission order of a sequential run. *)
+
+val record : capacity:int -> (unit -> 'a) -> 'a * event list
+(** [record ~capacity f] arms rings of [capacity] records, binds ring 0
+    on the calling domain, runs [f], and returns its result with the
+    decoded events; rings are disarmed afterwards, also on exceptions.
+    Sharded runs inside [f] bind their own worker rings as usual.
+    Raises [Invalid_argument] if any ring dropped records. *)
+
+val write_jsonl : path:string -> event list -> unit
+(** Write events to a fresh file, one {!to_json} object per line. *)
 
 (** {1 Scalar emission}
 
     The armed hot path: one function per event, taking the interned
     queue id and integer kind code instead of strings. With a bound
-    ring these allocate nothing on the minor heap (R9-proven); on the
-    sink fallback they build the {!event} record. Callers guard with
-    {!enabled} and pass [Packet.kind_code] / the queue's interned id. *)
+    ring these allocate nothing on the minor heap (R9-proven); without
+    one they write nothing. Callers guard with {!enabled} and pass
+    [Packet.kind_code] / the queue's interned id. *)
 
 val pkt_enqueue :
   time:float ->
@@ -254,9 +236,9 @@ val subflow_add : time:float -> flow:int -> subflow:int -> unit
 val subflow_remove : time:float -> flow:int -> subflow:int -> unit
 
 val emit : event -> unit
-(** Variant-level entry point: routes to the bound ring (decomposing to
-    the scalar functions, re-interning the queue name) or the sink.
-    Kept for tests and external callers holding an {!event}. *)
+(** Variant-level entry point: decomposes to the scalar functions,
+    re-interning the queue name. For tests and external callers holding
+    an {!event}. *)
 
 val set_dispatch_ctx :
   sched:float -> cls:int -> flow:int -> subflow:int -> pseq:int -> kind:int ->
@@ -264,6 +246,7 @@ val set_dispatch_ctx :
 (** Called by the scheduler once per dispatch while tracing is armed:
     records the dispatching event's ordering key — arming time [sched],
     dispatch class [cls] (closures 0, packets 1), and the dispatched
-    packet's identity (zeros for closures) — in domain-local storage.
-    Every ring record written during the dispatch carries it; the
-    decoder sorts on it. Allocation-free. *)
+    packet's identity (zeros for closures) — in domain-local storage,
+    and advances the domain's dispatch number. Every ring record
+    written during the dispatch carries both; the decoder groups
+    records by dispatch number and sorts on the key. Allocation-free. *)

@@ -1,4 +1,6 @@
 open Repro_netsim
+module Ftp = Repro_topology.Fattree_pods
+module Workload = Repro_workload.Workload
 
 type config = {
   k : int;
@@ -37,16 +39,16 @@ type result = {
 }
 
 let run cfg =
-  let sim = Sim.create () in
   let rng = Rng.create ~seed:cfg.seed in
   let rate = cfg.rate_mbps *. 1e6 in
   let tree =
-    Repro_topology.Fattree.create ~sim ~rng:(Rng.split rng) ~k:cfg.k ~rate_bps:rate
+    Ftp.create ~shards:1 ~rng:(Rng.split rng) ~k:cfg.k ~rate_bps:rate
       ~delay:(cfg.delay_ms /. 1000.)
       ~buffer_pkts:100 ~discipline:Queue.Droptail
       ~oversubscription:cfg.oversubscription ()
   in
-  let hosts = Repro_topology.Fattree.host_count tree in
+  let sim = Shard.sim (Ftp.group tree) 0 in
+  let hosts = Ftp.host_count tree in
   let wl_rng = Rng.split rng in
   let dest = Rng.derangement_permutation wl_rng hosts in
   (* every third host runs a continuous flow; the rest send shorts *)
@@ -62,7 +64,7 @@ let run cfg =
   for src = 0 to hosts - 1 do
     if is_long src then begin
       let n = if cfg.algo = "reno" then 1 else cfg.subflows in
-      let paths = Repro_topology.Fattree.sample_paths tree ~rng ~src ~dst:dest.(src) ~n in
+      let paths = Ftp.sample_paths tree ~rng ~src ~dst:dest.(src) ~n in
       let conn =
         Tcp.create ~sim ~cc:(factory ()) ~paths
           ~start:(Rng.uniform wl_rng 1.) ~flow_id:src ()
@@ -71,29 +73,27 @@ let run cfg =
     end
     else begin
       let shorts =
-        Repro_workload.Workload.poisson_short_flows ~rng:wl_rng ~src ~dst:dest.(src)
-          ~mean_interval:cfg.mean_interval
-          ~size_pkts:Repro_workload.Workload.short_flow_pkts ~duration:cfg.duration
+        Workload.poisson_short_flows ~rng:wl_rng ~src ~dst:dest.(src)
+          ~mean_interval:cfg.mean_interval ~size_pkts:Workload.short_flow_pkts
+          ~duration:cfg.duration
       in
       List.iter
-        (fun { Repro_workload.Workload.start; size_pkts; src; dst } ->
+        (fun { Workload.start; size_pkts; src; dst } ->
           incr started_shorts;
-          let paths = Repro_topology.Fattree.sample_paths tree ~rng ~src ~dst ~n:1 in
-          let conn = ref None in
+          let paths = Ftp.sample_paths tree ~rng ~src ~dst ~n:1 in
           let on_complete t_end =
             incr finished_shorts;
             if start >= cfg.warmup then
-              completions := ((t_end -. start) *. 1000.) :: !completions;
-            ignore !conn
+              completions := ((t_end -. start) *. 1000.) :: !completions
           in
-          conn :=
-            Some
-              (Tcp.create ~sim ~cc:(Repro_cc.Reno.create ()) ~paths
-                 ?size_pkts ~start ~on_complete ~flow_id:src ()))
+          ignore
+            (Tcp.create ~sim ~cc:(Repro_cc.Reno.create ()) ~paths ?size_pkts
+               ~start ~on_complete ~flow_id:src ()
+              : Tcp.conn))
         shorts
     end
   done;
-  let core = Repro_topology.Fattree.core_queues tree in
+  let core = Ftp.core_queues tree in
   ignore
     (Sim.schedule_at ~src:"scenario.warmup" sim cfg.warmup (fun () ->
          List.iter Queue.reset_stats core)

@@ -36,6 +36,7 @@ type result = {
   p10_flow_mbps : float;
   p50_flow_mbps : float;
   p90_flow_mbps : float;
+  ranked_pct : float array;
   mean_core_loss : float;
   cut_messages : int;
   obs : Repro_obs.Meter.report;
@@ -64,6 +65,9 @@ let percentile sorted p =
 let run cfg =
   if cfg.flows_per_host < 1 then
     invalid_arg "Fattree_sharded.run: flows_per_host must be >= 1";
+  let window = cfg.duration -. cfg.warmup in
+  if not (window > 0.) then
+    invalid_arg "Fattree_sharded.run: warmup >= duration";
   let meter = Repro_obs.Meter.start () in
   let rng = Rng.create ~seed:cfg.seed in
   let rate = cfg.rate_mbps *. 1e6 in
@@ -117,9 +121,6 @@ let run cfg =
           : Sim.Timer.t))
     flows;
   Shard.run_windows ~pool:Repro_exp.Sweep.pool group ~horizon:cfg.duration;
-  let window = cfg.duration -. cfg.warmup in
-  if window <= 0. then
-    invalid_arg "Fattree_sharded.run: warmup >= duration";
   let flow_mbps =
     Array.mapi
       (fun i c ->
@@ -171,6 +172,7 @@ let run cfg =
     p10_flow_mbps = percentile sorted 0.10;
     p50_flow_mbps = percentile sorted 0.50;
     p90_flow_mbps = percentile sorted 0.90;
+    ranked_pct = Array.map (fun m -> 100. *. m /. cfg.rate_mbps) sorted;
     mean_core_loss = Common.mean losses;
     cut_messages;
     obs;

@@ -1,6 +1,9 @@
-(** The production-scale FatTree experiment: a k ≥ 8 tree with several
-    long-lived permutation flows per host (k = 8 and 8 flows/host give
-    1024 concurrent MPTCP connections over 128 hosts), runnable on one
+(** The FatTree permutation experiment: every host sends
+    [flows_per_host] long-lived flows to random distinct hosts, using
+    TCP or MPTCP (LIA/OLIA) with a given number of subflows spread over
+    the equal-cost paths. With one flow per host this is the htsim
+    experiment of paper §VI-B1 (Fig. 13); k = 8 and 8 flows/host give
+    1024 concurrent MPTCP connections over 128 hosts. It runs on one
     event loop or sharded pod-per-domain across OCaml domains with
     conservative lookahead ({!Repro_netsim.Shard}).
 
@@ -40,6 +43,9 @@ type result = {
   p10_flow_mbps : float;
   p50_flow_mbps : float;
   p90_flow_mbps : float;
+  ranked_pct : float array;
+      (** per-flow goodput as % of the host link rate, ascending —
+          Fig. 13(b) *)
   mean_core_loss : float;  (** mean loss probability over core queues *)
   cut_messages : int;
       (** packets that crossed a shard boundary (0 when [shards = 1]) *)
@@ -59,5 +65,6 @@ val run : config -> result
     scheduler's [(time, sched, content)] dispatch order makes the same
     seed produce identical goodputs for any shard count. Tracing a
     sharded run works through per-worker rings ([Trace.arm_rings]).
-    Raises [Invalid_argument] on a shard count that does not divide
-    [k]. *)
+    Raises [Invalid_argument] before building anything when
+    [flows_per_host < 1] or [warmup >= duration], and on a shard count
+    that does not divide [k]. *)

@@ -14,8 +14,8 @@ module type SCENARIO = Repro_exp.Scenario_intf.S
 
 val names : string list
 (** All registered scenarios: ["scenario-a"; "scenario-b"; "scenario-c";
-    "two-bottleneck"; "responsiveness"; "wireless"; "fattree";
-    "fattree-dynamic"]. *)
+    "two-bottleneck"; "responsiveness"; "wireless"; "fattree-dynamic";
+    "fattree-sharded"]. *)
 
 val find : string -> (module SCENARIO)
 (** Raises [Invalid_argument] (listing {!names}) on unknown names. *)

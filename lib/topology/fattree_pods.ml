@@ -36,8 +36,8 @@ let create ~shards ~rng ~k ~rate_bps ~delay ~buffer_pkts ~discipline
   let sim_of_pod pod = sims.(shard_of_pod_ ~k ~shards pod) in
   let h = k / 2 in
   let n_hosts = k * k * k / 4 in
-  (* identical creation order and names to Fattree.create, so the RNG
-     stream (one split per queue) matches it link for link *)
+  (* creation order and names are independent of the shard count, so
+     the RNG stream (one split per queue) is too *)
   let mk sim rate name =
     Duplex.create ~sim ~rng ~rate_bps:rate ~delay ~buffer_pkts ~discipline
       ~name ()

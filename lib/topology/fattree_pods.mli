@@ -1,5 +1,13 @@
-(** Pod-sharded k-ary FatTree: the same topology as {!Fattree}, cut at
-    the core links for conservative parallel simulation ({!Repro_netsim.Shard}).
+(** k-ary FatTree (paper §VI-B; the htsim data-center setting: k = 8
+    gives 128 hosts and 80 switches), built pod-sharded: cut at the
+    core links for conservative parallel simulation
+    ({!Repro_netsim.Shard}).
+
+    The tree has [k] pods, each with [k/2] edge and [k/2] aggregation
+    switches, and [(k/2)²] core switches. Every adjacent pair is joined
+    by a bidirectional link. Between two hosts in different pods there
+    are [(k/2)²] equal-length paths (one per aggregation/core choice),
+    which MPTCP subflows are spread across ECMP-style.
 
     Pods are assigned to shards in contiguous blocks ([shards] must
     divide [k]), every link of a pod lives on its shard's simulator,
@@ -9,10 +17,9 @@
     exact) and replaces that link's propagation pipe with a cross-shard
     channel of the same latency — end-to-end path delay is unchanged,
     and the per-hop latency is exactly the group's conservative
-    lookahead. With [shards = 1] no channel exists and the construction
-    (including the RNG stream) is link-for-link identical to
-    {!Fattree.create}, which is what makes the shards=1 ≡ sequential
-    golden bitwise. *)
+    lookahead. With [shards = 1] no channel exists: the whole tree
+    lives on one simulator, and the construction (one RNG split per
+    queue, in a fixed order) does not depend on the shard count. *)
 
 type t
 
@@ -29,9 +36,11 @@ val create :
   t
 (** Build the tree over [shards] fresh simulators. [k] must be even and
     ≥ 2, and [shards] must satisfy [1 ≤ shards ≤ k] and [k mod shards =
-    0] (pods map to shards in blocks of [k / shards]). Other parameters
-    as {!Fattree.create}; [delay] doubles as the shard lookahead, so it
-    must be positive when [shards > 1]. *)
+    0] (pods map to shards in blocks of [k / shards]). [delay] is the
+    one-way latency of each hop and doubles as the shard lookahead, so
+    it must be positive when [shards > 1]. [oversubscription] divides
+    the capacity of edge→aggregation and aggregation→core links
+    (default 1., i.e. a full-bisection tree; Fig. 14 uses 4). *)
 
 val k : t -> int
 val host_count : t -> int
@@ -56,6 +65,7 @@ val channel :
     [src = dst] or either is out of range), for cut statistics. *)
 
 val path_count : t -> src:int -> dst:int -> int
+(** Number of distinct shortest paths between two hosts. *)
 
 val all_paths : t -> src:int -> dst:int -> Repro_netsim.Tcp.path array
 (** Every shortest path, forward and reverse routes cut at shard
@@ -69,8 +79,8 @@ val sample_paths :
   dst:int ->
   n:int ->
   Repro_netsim.Tcp.path array
-(** As {!Fattree.sample_paths}: [n] paths uniformly without
-    replacement. *)
+(** [n] paths chosen uniformly without replacement (all of them if
+    fewer than [n] exist) — the paper's "MPTCP with n subflows". *)
 
 val shard_queues : t -> int -> Repro_netsim.Queue.t list
 (** Queues owned by one shard (its pods' host, edge and core links),
@@ -78,4 +88,7 @@ val shard_queues : t -> int -> Repro_netsim.Queue.t list
     simulator. *)
 
 val core_queues : t -> Repro_netsim.Queue.t list
+(** Queues of every aggregation→core and core→aggregation hop, for the
+    network-core utilization figure of Table III. *)
+
 val all_queues : t -> Repro_netsim.Queue.t list

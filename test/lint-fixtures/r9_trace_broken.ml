@@ -1,10 +1,10 @@
 (* A deliberately-broken armed-emission path, shaped like the scalar
    functions in lib/obs/trace.ml: the ring branch is unboxed stores
-   (arithmetic stands in for them here), but the variant-sink fallback
-   builds its event payload with no [Trace.sink_armed] guard, so the
-   allocation sits square on the [@olia.alloc_free] hot path. The
-   regression test asserts R9 pins exactly that branch — proving the
-   gate would fail CI if the real emission path ever lost its guard. *)
+   (arithmetic stands in for them here), but the other branch builds
+   an event payload, so the allocation sits square on the
+   [@olia.alloc_free] hot path. The regression test asserts R9 pins
+   exactly that branch — proving the gate would fail CI if the real
+   emission path ever started allocating. *)
 
 let emit_sink ev = ignore ev
 

@@ -115,11 +115,6 @@ let tiny_bindings : (string * E.Spec.bindings) list =
       ] );
     ( "wireless",
       [ ("duration", E.Spec.Float 6.); ("warmup", E.Spec.Float 2.) ] );
-    ( "fattree",
-      [
-        ("k", E.Spec.Int 4); ("subflows", E.Spec.Int 2);
-        ("duration", E.Spec.Float 2.); ("warmup", E.Spec.Float 0.5);
-      ] );
     ( "fattree-dynamic",
       [
         ("k", E.Spec.Int 4); ("subflows", E.Spec.Int 2);

@@ -620,20 +620,16 @@ let test_fixture_broken_hot_path () =
   let _, clean = Engine.lint_paths [ fixture "r9_clean.ml" ] in
   check_count "its clean twin is silent" Finding.R9 0 clean
 
-(* The trace-emission twins: an armed-emission function whose variant
-   sink fallback allocates. Unguarded, R9 must flag the allocation;
-   behind [Trace.sink_armed] — the guard the real scalar emitters in
-   lib/obs/trace.ml use — it must prune the branch. *)
-let test_fixture_trace_sink_guard () =
+(* An armed-emission function that builds an event payload on its
+   [@olia.alloc_free] path: R9 must flag the allocation. *)
+let test_fixture_trace_payload () =
   let _, fs = Engine.lint_paths [ fixture "r9_trace_broken.ml" ] in
-  check_count "unguarded sink fallback caught" Finding.R9 1 fs;
+  check_count "allocating emission branch caught" Finding.R9 1 fs;
   Alcotest.(check bool) "finding pins the payload allocation" true
     (List.exists
        (fun (f : Finding.t) ->
          f.rule = Finding.R9 && contains ~needle:"tuple" f.message)
-       fs);
-  let _, clean = Engine.lint_paths [ fixture "r9_trace_clean.ml" ] in
-  check_count "Trace.sink_armed prunes the sink branch" Finding.R9 0 clean
+       fs)
 
 (* The fixture's content must sit at the sharded runtime's real path for
    the R10 roots to arm, so read it off disk and re-path it. *)
@@ -744,6 +740,6 @@ let suite =
       test_fixture_parse_resilience;
     Alcotest.test_case "fixtures: broken hot path is caught" `Quick
       test_fixture_broken_hot_path;
-    Alcotest.test_case "fixtures: sink_armed guards the emission path" `Quick
-      test_fixture_trace_sink_guard;
+    Alcotest.test_case "fixtures: allocating emission is caught" `Quick
+      test_fixture_trace_payload;
   ]

@@ -133,23 +133,21 @@ let test_event_bad_json () =
         | Ok _ -> Alcotest.fail ("decoded a non-event: " ^ src)))
     [ {|{"ev":"no_such_event","t":1}|}; {|{"t":1}|}; {|[1,2]|} ]
 
+(* Events recorded through a ring and written by [Trace.write_jsonl]
+   come back line for line. *)
 let test_jsonl_sink () =
   let path = Filename.temp_file "olia_trace" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Trace.with_jsonl ~path (fun () ->
-          Alcotest.(check bool) "armed" true (Trace.enabled ());
-          List.iter Trace.emit every_variant);
+      let (), events =
+        Trace.record ~capacity:64 (fun () ->
+            Alcotest.(check bool) "armed" true (Trace.enabled ());
+            List.iter Trace.emit every_variant)
+      in
       Alcotest.(check bool) "disarmed after" false (Trace.enabled ());
-      let ic = open_in path in
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> close_in ic);
-      let lines = List.rev !lines in
+      Trace.write_jsonl ~path events;
+      let lines = In_channel.with_open_text path In_channel.input_lines in
       Alcotest.(check int)
         "one line per event"
         (List.length every_variant)
@@ -271,16 +269,13 @@ let deterministic_view (r : S.Scen_a.result) =
 let test_tracing_off_noop () =
   Alcotest.(check bool) "tests run untraced" false (Trace.enabled ());
   let before = deterministic_view (S.Scen_a.run small) in
-  let seen = ref 0 in
-  Trace.set_sink (Some (fun (_ : Trace.event) -> incr seen));
-  let traced =
-    Fun.protect
-      ~finally:(fun () -> Trace.set_sink None)
-      (fun () -> deterministic_view (S.Scen_a.run small))
+  let traced, events =
+    Trace.record ~capacity:(1 lsl 18) (fun () ->
+        deterministic_view (S.Scen_a.run small))
   in
   Alcotest.(check bool) "disarmed again" false (Trace.enabled ());
   let after = deterministic_view (S.Scen_a.run small) in
-  Alcotest.(check bool) "tracing emitted events" true (!seen > 0);
+  Alcotest.(check bool) "tracing emitted events" true (events <> []);
   Alcotest.(check bool) "tracing does not change results" true
     (before = traced);
   Alcotest.(check bool) "and leaves no residue" true (before = after)
@@ -548,10 +543,10 @@ let test_report_jsonl_rejects_bad_line () =
 let test_report_deterministic_across_runs () =
   let render () =
     let acc = Report.create () in
-    Trace.set_sink (Some (Report.feed acc));
-    Fun.protect
-      ~finally:(fun () -> Trace.set_sink None)
-      (fun () -> ignore (S.Scen_a.run small));
+    let (_ : S.Scen_a.result), events =
+      Trace.record ~capacity:(1 lsl 18) (fun () -> S.Scen_a.run small)
+    in
+    List.iter (Report.feed acc) events;
     Json.to_string (Report.to_json acc)
   in
   let first = render () in
@@ -561,13 +556,11 @@ let test_report_deterministic_across_runs () =
     "and non-trivial" true
     (String.length first > 100)
 
-(* --- the sweep guard --------------------------------------------------- *)
+(* --- sweeps under tracing ------------------------------------------- *)
 
-(* The variant trace sink is process-global, so a multi-worker sweep
-   with a sink armed would interleave events from unrelated points into
-   one stream: Sweep.run must refuse. Ring-mode tracing is per-worker
-   (each domain binds its own ring), so the same sweep runs armed. *)
-let test_sweep_sink_refused_rings_allowed () =
+(* Tracing is per-worker: each domain binds its own ring, so a
+   multi-worker sweep runs armed, and runs the same disarmed. *)
+let test_sweep_runs_with_rings () =
   let (module Sc : S.Registry.SCENARIO) = S.Registry.find "scenario-a" in
   let point seed =
     [
@@ -577,21 +570,8 @@ let test_sweep_sink_refused_rings_allowed () =
     ]
   in
   (* Two points so the ~domains:2 request actually spawns two workers;
-     a single point degrades to the sequential path, which never needs
-     the guard. *)
+     a single point degrades to the sequential path. *)
   let pts = [ point 1; point 2 ] in
-  Trace.set_sink (Some (fun (_ : Trace.event) -> ()));
-  (Fun.protect
-     ~finally:(fun () -> Trace.set_sink None)
-     (fun () ->
-       match Repro_exp.Sweep.run ~domains:2 (module Sc) pts with
-       | _ -> Alcotest.fail "sweep ran with a sink armed"
-       | exception Invalid_argument msg ->
-         Alcotest.(check bool)
-           ("refusal explains itself: " ^ msg)
-           true
-           (String.length msg > 0)));
-  Alcotest.(check bool) "sink released" false (Trace.enabled ());
   (* Rings armed: each worker binds its own ring and the sweep runs. *)
   Trace.arm_rings ~capacity:(1 lsl 16) ();
   (Fun.protect
@@ -703,8 +683,10 @@ let mk_event tag i =
 
 (* The merge property under the sharded CI gate, minus the simulator:
    however events are partitioned across per-shard rings, the decode is
-   the one a single ring would produce. Timestamps are distinct, so the
-   canonical order is unique and the test is exact. *)
+   the one a single ring would produce. Each event is its own dispatch,
+   as in the scheduler, which never splits one dispatch across rings.
+   Timestamps are distinct, so the canonical order is unique and the
+   test is exact. *)
 let prop_decode_partition_invariant =
   QCheck.Test.make ~name:"ring decode is partition-invariant" ~count:75
     QCheck.(pair (small_list (pair (int_bound 8) (int_bound 3))) (int_range 1 4))
@@ -717,12 +699,15 @@ let prop_decode_partition_invariant =
         Fun.protect
           ~finally:(fun () -> Trace.disarm_rings ())
           (fun () ->
-            Trace.set_dispatch_ctx ~sched:0. ~cls:0 ~flow:0 ~subflow:0 ~pseq:0
-              ~kind:0;
             List.iter
               (fun (shard, evs) ->
                 Trace.bind_ring ~shard;
-                List.iter Trace.emit evs)
+                List.iter
+                  (fun ev ->
+                    Trace.set_dispatch_ctx ~sched:0. ~cls:0 ~flow:0 ~subflow:0
+                      ~pseq:0 ~kind:0;
+                    Trace.emit ev)
+                  evs)
               groups;
             Trace.unbind_ring ();
             Trace.decode_rings ())
@@ -901,8 +886,8 @@ let suite =
       test_report_jsonl_rejects_bad_line;
     Alcotest.test_case "report JSON byte-identical across runs" `Quick
       test_report_deterministic_across_runs;
-    Alcotest.test_case "sweeps refuse sinks but run with rings" `Slow
-      test_sweep_sink_refused_rings_allowed;
+    Alcotest.test_case "sweeps run with rings" `Slow
+      test_sweep_runs_with_rings;
     Alcotest.test_case "ring wraparound keeps the newest records" `Quick
       test_ring_wraparound;
     Alcotest.test_case "fail-fast and null rings refuse records" `Quick

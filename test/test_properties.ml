@@ -296,19 +296,15 @@ let prop_fattree_sample_within_all =
     (fun (src, dst, n) ->
       src = dst
       ||
-      let sim = Sim.create () in
-      let rng = Rng.create ~seed:1 in
+      let module Ftp = Mptcp_repro.Topology.Fattree_pods in
       let tree =
-        Mptcp_repro.Topology.Fattree.create ~sim ~rng ~k:4 ~rate_bps:1e6
+        Ftp.create ~shards:1 ~rng:(Rng.create ~seed:1) ~k:4 ~rate_bps:1e6
           ~delay:0.001 ~buffer_pkts:10 ~discipline:Queue.Droptail ()
       in
-      let all =
-        Array.length (Mptcp_repro.Topology.Fattree.all_paths tree ~src ~dst)
-      in
+      let all = Array.length (Ftp.all_paths tree ~src ~dst) in
       let sampled =
         Array.length
-          (Mptcp_repro.Topology.Fattree.sample_paths tree
-             ~rng:(Rng.create ~seed:2) ~src ~dst ~n)
+          (Ftp.sample_paths tree ~rng:(Rng.create ~seed:2) ~src ~dst ~n)
       in
       sampled = Stdlib.min n all)
 

@@ -148,13 +148,16 @@ let test_two_bottleneck_lia_has_no_alpha () =
     (fun (_, a) -> Test_common.close "alpha zero" 0. a)
     (Mptcp_repro.Stats.Timeseries.to_array t.alpha1)
 
+(* The paper's Fig. 13 permutation: one long-lived flow per host. *)
+let fig13 = { S.Fattree_sharded.default with flows_per_host = 1 }
+
 let test_fattree_static_mptcp_beats_tcp () =
   (* Fig. 13(a): multipath strongly outperforms single-path TCP *)
   let cfg =
-    { S.Fattree_static.default with k = 4; duration = 20.; warmup = 5.; seed = 15 }
+    { fig13 with k = 4; duration = 20.; warmup = 5.; seed = 15 }
   in
-  let tcp = S.Fattree_static.run { cfg with subflows = 1 } in
-  let olia8 = S.Fattree_static.run { cfg with subflows = 8; algo = "olia" } in
+  let tcp = S.Fattree_sharded.run { cfg with subflows = 1 } in
+  let olia8 = S.Fattree_sharded.run { cfg with subflows = 8; algo = "olia" } in
   Alcotest.(check bool)
     (Printf.sprintf "OLIA %.0f%% > TCP %.0f%%" olia8.aggregate_pct_optimal
        tcp.aggregate_pct_optimal)
@@ -163,11 +166,10 @@ let test_fattree_static_mptcp_beats_tcp () =
 
 let test_fattree_static_more_subflows_help () =
   let cfg =
-    { S.Fattree_static.default with
-      k = 4; duration = 20.; warmup = 5.; algo = "lia"; seed = 16 }
+    { fig13 with k = 4; duration = 20.; warmup = 5.; algo = "lia"; seed = 16 }
   in
-  let two = S.Fattree_static.run { cfg with subflows = 2 } in
-  let eight = S.Fattree_static.run { cfg with subflows = 8 } in
+  let two = S.Fattree_sharded.run { cfg with subflows = 2 } in
+  let eight = S.Fattree_sharded.run { cfg with subflows = 8 } in
   Alcotest.(check bool)
     (Printf.sprintf "8 subflows %.0f%% >= 2 subflows %.0f%%"
        eight.aggregate_pct_optimal two.aggregate_pct_optimal)
@@ -176,10 +178,9 @@ let test_fattree_static_more_subflows_help () =
 
 let test_fattree_static_rank_output () =
   let cfg =
-    { S.Fattree_static.default with
-      k = 4; duration = 15.; warmup = 5.; subflows = 4; seed = 17 }
+    { fig13 with k = 4; duration = 15.; warmup = 5.; subflows = 4; seed = 17 }
   in
-  let r = S.Fattree_static.run cfg in
+  let r = S.Fattree_sharded.run cfg in
   Alcotest.(check int) "one rank per host" 16 (Array.length r.ranked_pct);
   let sorted = ref true in
   for i = 1 to Array.length r.ranked_pct - 1 do

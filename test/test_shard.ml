@@ -5,7 +5,6 @@
 
 open Mptcp_repro.Netsim
 module Ftp = Mptcp_repro.Topology.Fattree_pods
-module Fattree = Mptcp_repro.Topology.Fattree
 module Fs = Mptcp_repro.Scenarios.Fattree_sharded
 module Workload = Mptcp_repro.Workload
 
@@ -34,16 +33,11 @@ let test_cut_k4 () =
   Alcotest.(check int) "same pod" 2 (Ftp.path_count t ~src:0 ~dst:2);
   Alcotest.(check int) "cross pod" 4 (Ftp.path_count t ~src:0 ~dst:15);
   (* the cut replaces the agg->core pipe with a channel hop: same length *)
-  let sim = Sim.create () in
-  let rng = Rng.create ~seed:1 in
-  let plain =
-    Fattree.create ~sim ~rng ~k:4 ~rate_bps:10e6 ~delay:0.001
-      ~buffer_pkts:100 ~discipline:Queue.Droptail ()
-  in
+  let plain = make_pods ~k:4 ~shards:1 () in
   let len p = Array.length p.Tcp.fwd + Array.length p.Tcp.rev in
   Array.iteri
     (fun i p ->
-      Alcotest.(check int) "hop count" (len (Fattree.all_paths plain ~src:0 ~dst:15).(i))
+      Alcotest.(check int) "hop count" (len (Ftp.all_paths plain ~src:0 ~dst:15).(i))
         (len p))
     (Ftp.all_paths t ~src:0 ~dst:15)
 
@@ -142,9 +136,10 @@ let test_windows () =
 
 (* --- shards=1 ≡ sequential golden --------------------------------------- *)
 
-(* The same seed drives an uncut Fattree under Sim.run_until and a
-   shards=1 Fattree_pods under the window loop: identical construction,
-   identical RNG stream, so per-flow delivered counts match exactly. *)
+(* The same seed builds two one-shard trees: one driven by plain
+   Sim.run_until on its simulator, the other by the window loop.
+   Identical construction and RNG stream, so per-flow delivered counts
+   match exactly. *)
 let run_workload ~mk_paths ~sim_of_host ~run ~seed =
   let rng = Rng.create ~seed in
   let hosts = 16 in
@@ -166,14 +161,10 @@ let run_workload ~mk_paths ~sim_of_host ~run ~seed =
 let test_shards1_matches_sequential () =
   let horizon = 3. in
   let seq =
-    let sim = Sim.create () in
-    let rng = Rng.create ~seed:7 in
-    let tree =
-      Fattree.create ~sim ~rng ~k:4 ~rate_bps:10e6 ~delay:0.001
-        ~buffer_pkts:100 ~discipline:Queue.Droptail ()
-    in
+    let tree = make_pods ~k:4 ~shards:1 ~seed:7 () in
+    let sim = Shard.sim (Ftp.group tree) 0 in
     run_workload ~seed:7
-      ~mk_paths:(fun ~rng ~src ~dst -> Fattree.sample_paths tree ~rng ~src ~dst ~n:2)
+      ~mk_paths:(fun ~rng ~src ~dst -> Ftp.sample_paths tree ~rng ~src ~dst ~n:2)
       ~sim_of_host:(fun _ -> sim)
       ~run:(fun () -> Sim.run_until sim horizon)
   in
@@ -205,6 +196,15 @@ let test_invariance_bands () =
   Alcotest.(check int) "no cut traffic sequentially" 0 r1.Fs.cut_messages;
   Alcotest.(check bool) "cut traffic sharded" true (r2.Fs.cut_messages > 0)
 
+(* Config errors surface before anything is built or run: a 1e6 s
+   horizon would otherwise simulate for hours before the check. *)
+let test_rejects_warmup_past_duration () =
+  Alcotest.check_raises "warmup >= duration"
+    (Invalid_argument "Fattree_sharded.run: warmup >= duration") (fun () ->
+      ignore
+        (Fs.run { (small_cfg 1) with duration = 1e6; warmup = 2e6 }
+          : Fs.result))
+
 let test_sharded_run_deterministic () =
   let r1 = Fs.run (small_cfg 2) in
   let r2 = Fs.run (small_cfg 2) in
@@ -220,16 +220,13 @@ let test_sharded_run_deterministic () =
    check that matters is byte-level — a 2-shard traced run must decode
    to exactly the event stream of the 1-shard run. *)
 let traced_lines shards =
-  Mptcp_repro.Obs.Trace.arm_rings ~capacity:(1 lsl 19) ();
-  Fun.protect
-    ~finally:(fun () -> Mptcp_repro.Obs.Trace.disarm_rings ())
-    (fun () ->
-      ignore (Fs.run (small_cfg shards));
-      Alcotest.(check int) "no ring overflow" 0
-        (Mptcp_repro.Obs.Trace.rings_dropped ());
-      List.map
-        (fun ev -> Repro_stats.Json.to_string (Mptcp_repro.Obs.Trace.to_json ev))
-        (Mptcp_repro.Obs.Trace.decode_rings ()))
+  let (_ : Fs.result), events =
+    Mptcp_repro.Obs.Trace.record ~capacity:(1 lsl 19) (fun () ->
+        Fs.run (small_cfg shards))
+  in
+  List.map
+    (fun ev -> Repro_stats.Json.to_string (Mptcp_repro.Obs.Trace.to_json ev))
+    events
 
 let test_traced_decode_shard_invariant () =
   let base = traced_lines 1 in
@@ -250,6 +247,8 @@ let suite =
       test_shards1_matches_sequential;
     Alcotest.test_case "shard-count invariance bands" `Slow
       test_invariance_bands;
+    Alcotest.test_case "rejects warmup >= duration up front" `Quick
+      test_rejects_warmup_past_duration;
     Alcotest.test_case "sharded run deterministic" `Slow
       test_sharded_run_deterministic;
     Alcotest.test_case "traced decode is shard-count invariant" `Slow

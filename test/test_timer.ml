@@ -199,6 +199,19 @@ let test_non_finite_rejected () =
               : Sim.Timer.t)))
     [ nan; infinity; neg_infinity ]
 
+(* A periodic timer keeps the queue non-empty, so a horizon no event
+   time ever exceeds (nan, infinity) would dispatch forever. *)
+let test_non_finite_horizon_rejected () =
+  let sim = Sim.create () in
+  ignore (Sim.every ~src:"test" sim 0.5 (fun () -> ()) : Sim.Timer.t);
+  List.iter
+    (fun bad ->
+      Alcotest.check_raises "non-finite horizon"
+        (Invalid_argument "Sim.run_until: non-finite horizon") (fun () ->
+          Sim.run_until sim bad))
+    [ nan; infinity; neg_infinity ];
+  Alcotest.(check (float 0.)) "clock untouched" 0. (Sim.now sim)
+
 (* --- every ------------------------------------------------------------- *)
 
 let test_every_fires_periodically () =
@@ -396,6 +409,8 @@ let suite =
       test_reschedule_stale_rejected;
     Alcotest.test_case "non-finite times rejected" `Quick
       test_non_finite_rejected;
+    Alcotest.test_case "non-finite horizons rejected" `Quick
+      test_non_finite_horizon_rejected;
     Alcotest.test_case "every: fires each period" `Quick
       test_every_fires_periodically;
     Alcotest.test_case "every: explicit start" `Quick test_every_explicit_start;

@@ -11,14 +11,15 @@ end
 
 let check_close eps = Alcotest.(check (float eps))
 
+module Ftp = Fattree_pods
+
 let make_tree ?(k = 4) ?(oversubscription = 1.) () =
-  let sim = Sim.create () in
   let rng = Rng.create ~seed:1 in
   let tree =
-    Fattree.create ~sim ~rng ~k ~rate_bps:10e6 ~delay:0.001 ~buffer_pkts:100
-      ~discipline:Queue.Droptail ~oversubscription ()
+    Ftp.create ~shards:1 ~rng ~k ~rate_bps:10e6 ~delay:0.001
+      ~buffer_pkts:100 ~discipline:Queue.Droptail ~oversubscription ()
   in
-  (sim, tree)
+  (Shard.sim (Ftp.group tree) 0, tree)
 
 (* --- Duplex ----------------------------------------------------------- *)
 
@@ -51,69 +52,67 @@ let test_duplex_directions_independent () =
 
 let test_fattree_counts_k4 () =
   let _, tree = make_tree ~k:4 () in
-  Alcotest.(check int) "hosts" 16 (Fattree.host_count tree);
-  Alcotest.(check int) "switches" 20 (Fattree.switch_count tree);
-  Alcotest.(check int) "k" 4 (Fattree.k tree)
+  Alcotest.(check int) "hosts" 16 (Ftp.host_count tree);
+  Alcotest.(check int) "k" 4 (Ftp.k tree)
 
 let test_fattree_counts_k8 () =
   let _, tree = make_tree ~k:8 () in
-  (* the paper's htsim topology: 128 hosts, 80 switches *)
-  Alcotest.(check int) "hosts" 128 (Fattree.host_count tree);
-  Alcotest.(check int) "switches" 80 (Fattree.switch_count tree)
+  (* the paper's htsim topology: 128 hosts *)
+  Alcotest.(check int) "hosts" 128 (Ftp.host_count tree)
 
 let test_fattree_rejects_odd_k () =
-  let sim = Sim.create () in
   let rng = Rng.create ~seed:1 in
-  Alcotest.check_raises "odd k" (Invalid_argument "Fattree.create: k must be even")
-    (fun () ->
+  Alcotest.check_raises "odd k"
+    (Invalid_argument "Fattree_pods.create: k must be even") (fun () ->
       ignore
-        (Fattree.create ~sim ~rng ~k:3 ~rate_bps:1e6 ~delay:0.001
+        (Ftp.create ~shards:1 ~rng ~k:3 ~rate_bps:1e6 ~delay:0.001
            ~buffer_pkts:10 ~discipline:Queue.Droptail ()))
 
 let test_fattree_path_counts () =
   let _, tree = make_tree ~k:4 () in
   (* same edge switch: hosts 0 and 1 *)
-  Alcotest.(check int) "same edge" 1 (Fattree.path_count tree ~src:0 ~dst:1);
+  Alcotest.(check int) "same edge" 1 (Ftp.path_count tree ~src:0 ~dst:1);
   (* same pod, different edge: hosts 0 and 2 *)
-  Alcotest.(check int) "same pod" 2 (Fattree.path_count tree ~src:0 ~dst:2);
+  Alcotest.(check int) "same pod" 2 (Ftp.path_count tree ~src:0 ~dst:2);
   (* different pods: hosts 0 and 15 *)
-  Alcotest.(check int) "cross pod" 4 (Fattree.path_count tree ~src:0 ~dst:15)
+  Alcotest.(check int) "cross pod" 4 (Ftp.path_count tree ~src:0 ~dst:15)
 
 let test_fattree_path_count_k8 () =
   let _, tree = make_tree ~k:8 () in
   Alcotest.(check int) "cross pod (k/2)²" 16
-    (Fattree.path_count tree ~src:0 ~dst:127)
+    (Ftp.path_count tree ~src:0 ~dst:127)
 
 let test_fattree_all_paths_match_count () =
   let _, tree = make_tree ~k:4 () in
   List.iter
     (fun (src, dst) ->
       Alcotest.(check int) "lengths agree"
-        (Fattree.path_count tree ~src ~dst)
-        (Array.length (Fattree.all_paths tree ~src ~dst)))
+        (Ftp.path_count tree ~src ~dst)
+        (Array.length (Ftp.all_paths tree ~src ~dst)))
     [ (0, 1); (0, 2); (0, 15); (5, 9); (12, 3) ]
 
 let test_fattree_rejects_self_path () =
   let _, tree = make_tree () in
-  Alcotest.check_raises "self" (Invalid_argument "Fattree: src = dst")
-    (fun () -> ignore (Fattree.all_paths tree ~src:3 ~dst:3));
-  Alcotest.check_raises "range" (Invalid_argument "Fattree: host out of range")
-    (fun () -> ignore (Fattree.all_paths tree ~src:0 ~dst:99))
+  Alcotest.check_raises "self" (Invalid_argument "Fattree_pods: src = dst")
+    (fun () -> ignore (Ftp.all_paths tree ~src:3 ~dst:3));
+  Alcotest.check_raises "range"
+    (Invalid_argument "Fattree_pods: host out of range")
+    (fun () -> ignore (Ftp.all_paths tree ~src:0 ~dst:99))
 
 let test_fattree_sample_paths_distinct () =
   let _, tree = make_tree ~k:4 () in
   let rng = Rng.create ~seed:5 in
-  let paths = Fattree.sample_paths tree ~rng ~src:0 ~dst:15 ~n:3 in
+  let paths = Ftp.sample_paths tree ~rng ~src:0 ~dst:15 ~n:3 in
   Alcotest.(check int) "asked three" 3 (Array.length paths);
-  let all = Fattree.sample_paths tree ~rng ~src:0 ~dst:15 ~n:100 in
+  let all = Ftp.sample_paths tree ~rng ~src:0 ~dst:15 ~n:100 in
   Alcotest.(check int) "capped at available" 4 (Array.length all)
 
 let test_fattree_queue_lists () =
   let _, tree = make_tree ~k:4 () in
   (* k=4: agg-core links = k·(k/2)·(k/2) = 16, two queues each *)
-  Alcotest.(check int) "core queues" 32 (List.length (Fattree.core_queues tree));
+  Alcotest.(check int) "core queues" 32 (List.length (Ftp.core_queues tree));
   (* all links: 16 host + 16 edge-agg + 16 agg-core = 48 links, 96 queues *)
-  Alcotest.(check int) "all queues" 96 (List.length (Fattree.all_queues tree))
+  Alcotest.(check int) "all queues" 96 (List.length (Ftp.all_queues tree))
 
 (* --- Fattree routing actually delivers --------------------------------- *)
 
@@ -140,14 +139,14 @@ let test_fattree_paths_deliver_and_return () =
           Alcotest.(check bool)
             (Printf.sprintf "rev %d->%d path %d" src dst i)
             true !got_rev)
-        (Fattree.all_paths tree ~src ~dst))
+        (Ftp.all_paths tree ~src ~dst))
     [ (0, 1); (0, 2); (0, 15); (7, 8) ]
 
 let test_fattree_oversubscription_slows_uplinks () =
   let sim, tree = make_tree ~k:4 ~oversubscription:4. () in
   (* send a burst cross-pod and check it takes ~4x longer than the host
      link would: uplink rate = 2.5 Mb/s -> 4.8 ms per packet *)
-  let path = (Fattree.all_paths tree ~src:0 ~dst:15).(0) in
+  let path = (Ftp.all_paths tree ~src:0 ~dst:15).(0) in
   let last_arrival = ref 0. in
   let route =
     Array.append path.Mptcp_repro.Netsim.Tcp.fwd
@@ -168,7 +167,7 @@ let prop_fattree_path_endpoints_valid =
     (fun (src, dst) ->
       let _, tree = make_tree ~k:4 () in
       src = dst
-      || Array.length (Fattree.all_paths tree ~src ~dst) >= 1)
+      || Array.length (Ftp.all_paths tree ~src ~dst) >= 1)
 
 (* --- Workload ----------------------------------------------------------- *)
 
