@@ -1,12 +1,12 @@
 let rates (views : Cc_types.subflow_view array) =
   Array.map
-    (fun (v : Cc_types.subflow_view) -> v.cwnd /. Stdlib.max v.rtt 1e-9)
+    (fun (v : Cc_types.subflow_view) -> v.cwnd /. Fmath.max v.rtt 1e-9)
     views
 
 let alpha views idx =
   let x = rates views in
-  let xmax = Array.fold_left Stdlib.max 0. x in
-  xmax /. Stdlib.max x.(idx) 1e-9
+  let xmax = Array.fold_left Fmath.max 0. x in
+  xmax /. Fmath.max x.(idx) 1e-9
 
 let create () =
   let increase ~views ~idx =
@@ -14,14 +14,14 @@ let create () =
     let total = Array.fold_left ( +. ) 0. x in
     let a = alpha views idx in
     let v = views.(idx) in
-    let rtt = Stdlib.max v.Cc_types.rtt 1e-9 in
-    x.(idx) /. rtt /. Stdlib.max (total *. total) 1e-18
+    let rtt = Fmath.max v.Cc_types.rtt 1e-9 in
+    x.(idx) /. rtt /. Fmath.max (total *. total) 1e-18
     *. ((1. +. a) /. 2.)
     *. ((4. +. a) /. 5.)
   in
   let loss_decrease ~views ~idx =
     let a = alpha views idx in
-    views.(idx).Cc_types.cwnd /. 2. *. Stdlib.min a 1.5
+    views.(idx).Cc_types.cwnd /. 2. *. Fmath.min a 1.5
   in
   {
     Cc_types.name = "balia";

@@ -97,7 +97,7 @@ let[@olia.alloc_free] recalc_ai st idx =
 
 let ensure st idx =
   if idx >= Array.length st.cwnd then begin
-    let cap = Stdlib.max (2 * (idx + 1)) 4 in
+    let cap = Int.max (2 * (idx + 1)) 4 in
     let grow fill a =
       Array.init cap (fun i -> if i < Array.length a then a.(i) else fill)
     in

@@ -7,8 +7,8 @@ let create ~epsilon =
         (fun acc (v : Cc_types.subflow_view) -> acc +. v.cwnd)
         0. views
     in
-    let w = Stdlib.max views.(idx).Cc_types.cwnd 1e-9 in
-    (w ** (1. -. epsilon)) /. (Stdlib.max total 1e-9 ** (2. -. epsilon))
+    let w = Fmath.max views.(idx).Cc_types.cwnd 1e-9 in
+    (w ** (1. -. epsilon)) /. (Fmath.max total 1e-9 ** (2. -. epsilon))
   in
   {
     Cc_types.name = Printf.sprintf "coupled(eps=%g)" epsilon;

@@ -152,7 +152,7 @@ let[@olia.alloc_free] note_acked st idx pkts =
 
 let ensure st idx =
   if idx >= Array.length st.cwnd then begin
-    let cap = Stdlib.max (2 * (idx + 1)) 4 in
+    let cap = Int.max (2 * (idx + 1)) 4 in
     let grow a =
       Array.init cap (fun i -> if i < Array.length a then a.(i) else 0)
     in

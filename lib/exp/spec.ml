@@ -21,17 +21,23 @@ let type_name = function
   | Bool _ -> "bool"
   | String _ -> "string"
 
-let parse_value ~like s =
+let parse_value ~key ~like s =
   let fail () =
     invalid_arg
-      (Printf.sprintf "Spec.parse_value: %S is not a valid %s" s
+      (Printf.sprintf "Spec.parse_value: %s: %S is not a valid %s" key s
          (type_name like))
   in
   match like with
   | Int _ -> (
     match int_of_string_opt s with Some i -> Int i | None -> fail ())
   | Float _ -> (
-    match float_of_string_opt s with Some f -> Float f | None -> fail ())
+    match float_of_string_opt s with
+    | Some f when Float.is_finite f -> Float f
+    | Some _ ->
+      invalid_arg
+        (Printf.sprintf "Spec.parse_value: %s: %S is not a finite float" key
+           s)
+    | None -> fail ())
   | Bool _ -> (
     match bool_of_string_opt s with Some b -> Bool b | None -> fail ())
   | String _ -> String s
@@ -103,7 +109,7 @@ let parse_assign t s =
     let key = String.sub s 0 i in
     let raw = String.sub s (i + 1) (String.length s - i - 1) in
     let p = param t key in
-    (key, parse_value ~like:p.default raw)
+    (key, parse_value ~key ~like:p.default raw)
 
 let json_of_value : value -> Repro_stats.Json.t = function
   | Int i -> Repro_stats.Json.Int i

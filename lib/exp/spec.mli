@@ -29,9 +29,12 @@ val value_to_string : value -> string
 val type_name : value -> string
 (** ["int"], ["float"], ["bool"] or ["string"]. *)
 
-val parse_value : like:value -> string -> value
-(** Parse a string as the same type as [like]. Raises
-    [Invalid_argument] on a malformed literal. *)
+val parse_value : key:string -> like:value -> string -> value
+(** Parse a string as the same type as [like], for parameter [key].
+    Raises [Invalid_argument] naming [key] on a malformed literal and on
+    a non-finite float ([nan], [inf], [-inf]): no scenario has a
+    meaningful non-finite parameter, so they are refused here rather
+    than deep inside the engine. *)
 
 (** {1 Bindings} *)
 

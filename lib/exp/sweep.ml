@@ -20,9 +20,9 @@ let range ~like ~key lo hi step =
     go lo []
   | Spec.Float _ ->
     let p s =
-      match float_of_string_opt s with
-      | Some f -> f
-      | None -> fail (Printf.sprintf "bad float %S" s)
+      match Spec.parse_value ~key ~like s with
+      | Spec.Float f -> f
+      | _ -> assert false (* parse_value answers in [like]'s type *)
     in
     let lo = p lo and hi = p hi and step = p step in
     if step <= 0. then fail "step must be positive";
@@ -49,7 +49,7 @@ let axis spec ~key vspec =
              vspec)
     else
       List.map
-        (Spec.parse_value ~like:p.Spec.default)
+        (Spec.parse_value ~key ~like:p.Spec.default)
         (String.split_on_char ',' vspec)
   in
   if values = [] then

@@ -121,6 +121,11 @@ let allocating_fns =
     "float_of_string";
   ]
 
+(* Polymorphic comparisons: on floats they box both arguments and call
+   the generic [compare]. [Int.max], [Fmath.max] and friends are the
+   monomorphic replacements. *)
+let polycmp_fns = [ "min"; "max"; "compare" ]
+
 let wall_clock_fns = [ "Unix.gettimeofday"; "Sys.time" ]
 
 let sink_fns =
@@ -333,6 +338,9 @@ let is_guard_cond guards e =
   | Pexp_ident { txt = Longident.Lident n; _ } -> List.mem n guards
   | _ -> false
 
+let polycmp_alloc name =
+  Printf.sprintf "call to %s: polymorphic compare boxes float arguments" name
+
 let walk_binding ~acc ~env0 body0 =
   let acc : acc = acc in
   let record_alloc loc what guarded =
@@ -361,10 +369,15 @@ let walk_binding ~acc ~env0 body0 =
         | Longident.Lident n -> not (List.mem n env)
         | _ -> true
       in
-      if mention then
+      if mention then begin
         acc.a_calls <-
           { callee = txt; cloc = loc; args = -1; cguarded = guarded }
-          :: acc.a_calls
+          :: acc.a_calls;
+        (* passed as a value, e.g. [Array.fold_left max] *)
+        let name = Rules.canonical (Rules.lid_name txt) in
+        if List.mem name polycmp_fns then
+          record_alloc e.pexp_loc (polycmp_alloc name) guarded
+      end
     | Pexp_fun _ | Pexp_function _ -> lambda env guards guarded e
     | Pexp_apply (({ pexp_desc = Pexp_ident { txt; loc }; _ } as _f), args) ->
       let name = Rules.canonical (Rules.lid_name txt) in
@@ -388,6 +401,8 @@ let walk_binding ~acc ~env0 body0 =
         record_alloc e.pexp_loc
           (Printf.sprintf "call to %s (allocating)" name)
           guarded;
+      if (not local) && List.mem name polycmp_fns then
+        record_alloc e.pexp_loc (polycmp_alloc name) guarded;
       if List.mem l2 order_fns then
         acc.a_sources <-
           { skind = Table_order; sname = name; sloc = loc } :: acc.a_sources;

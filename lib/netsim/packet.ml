@@ -88,7 +88,7 @@ let[@olia.alloc_free] free p =
   p.sack <- None;
   let pool = Domain.DLS.get pool_key in
   if pool.len = Array.length pool.stack then begin
-    let cap = max 64 (2 * pool.len) in
+    let cap = Int.max 64 (2 * pool.len) in
     (* lint: allow R9 -- amortized pool growth: doubling makes this O(1) amortized and absent at steady state *)
     let stack = Array.make cap p in
     Array.blit pool.stack 0 stack 0 pool.len;

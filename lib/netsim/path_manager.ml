@@ -58,7 +58,7 @@ let check t =
     if Tcp.subflow_enabled t.conn idx then begin
       let bad =
         losses.(idx) > t.policy.min_loss
-        && losses.(idx) > t.policy.discard_factor *. Stdlib.max !best 1e-4
+        && losses.(idx) > t.policy.discard_factor *. Repro_cc.Fmath.max !best 1e-4
       in
       if bad && active_count t > t.policy.min_active then begin
         Tcp.set_subflow_enabled t.conn idx false;

@@ -10,18 +10,27 @@
     window loop, degenerate (all-to-all) form: all shards advance
     through the same window boundaries [H_w = w·lookahead]. A message
     sent at time [s ∈ (H_{w-1}, H_w]] travels a channel of latency
-    [≥ lookahead], so it arrives strictly after [H_w] — exchanging
-    inboxes at every boundary therefore delivers every message before
-    its arrival time is reached, no shard ever receives an event in its
-    past, and no rollback is needed. Deadlock-freedom is immediate:
-    windows are fixed in advance, every shard always advances to the
-    next boundary without waiting on message availability, and the two
-    barriers per window are the only blocking points. See DESIGN.md
-    ("Sharded multicore simulation") for the full argument.
+    [≥ lookahead], so it arrives strictly after [H_w] — handing it over
+    at every boundary therefore delivers every message before its
+    arrival time is reached, no shard ever receives an event in its
+    past, and no rollback is needed.
+
+    Each channel owns two flat outboxes, chosen by window parity: in
+    window [w] the source appends to outbox [w mod 2] while the
+    destination, before running window [w], drains outbox [(w-1) mod 2].
+    One barrier per window separates the phases: a source refills an
+    outbox only two windows after filling it, by which time the
+    destination has passed the intervening barrier and so finished
+    draining it. The barrier's lock orders these accesses across
+    domains, so the outboxes themselves need none. Deadlock-freedom is
+    immediate: windows are fixed in advance, every shard always
+    advances to the next boundary without waiting on message
+    availability, and the barrier is the only blocking point. See
+    DESIGN.md ("Sharded multicore simulation") for the full argument.
 
     Determinism: within a window each shard is an ordinary sequential
-    simulator. At each boundary the drained messages are merged in
-    [(arrival, src_shard, channel, channel_seq)] order before being
+    simulator. At each boundary the drained outboxes are k-way merged
+    in [(arrival, egress, src_shard, src_seq)] order before being
     scheduled, so the schedule-order tie-break of {!Sim} is a pure
     function of the simulation state — results are reproducible for a
     given (seed, shard count). Moreover each delivery carries its
@@ -31,7 +40,10 @@
     sequential order regardless of shard count, and a sharded run is
     bitwise identical to the unsharded one. A one-shard group is
     trivially so because windowed [run_until] calls chain exactly like
-    a single call. *)
+    a single call.
+
+    Cost: parking and re-materializing a message allocates nothing once
+    the outboxes and the packet pools have grown to their peak. *)
 
 type t
 (** A shard group: the sims, their channels and the lookahead. *)
@@ -41,37 +53,6 @@ type channel
     entering its {!egress} hop on the source shard reappear on the
     destination shard [latency] seconds later (re-allocated from the
     destination domain's packet pool). *)
-
-(** One message in flight on a channel, exposed for the merge-order
-    property tests. *)
-type msg = {
-  arrival : float;  (** absolute delivery time on the destination sim *)
-  egress : float;
-      (** source-shard clock at the send — the instant the sequential
-          run's propagation pipe would have armed the delivery timer.
-          Passed as the [~sched] tie-break key to
-          {!Sim.schedule_pkt_at_sched} so sharded and sequential runs
-          order same-instant arrivals identically. *)
-  src_shard : int;
-  src_seq : int;
-      (** send index across all of the source shard's channels — the
-          order in which the egress hops executed on the source domain,
-          i.e. the order in which the sequential run would have armed
-          these deliveries *)
-  chan_id : int;  (** registration index of the carrying channel *)
-  chan_seq : int;  (** per-channel send sequence number *)
-  kind : Packet.kind;
-  pkt_seq : int;
-  flow : int;
-  subflow : int;
-  hop : int;  (** next hop index into [route] on arrival *)
-  route : Packet.hop array;
-  ackno : int;
-  sack : (int * int) option;
-  sent_at : float;
-  enqueued_at : float;
-  echo : float;
-}
 
 val create : sims:Sim.t array -> lookahead:float -> t
 (** A group over the given per-shard simulators. [lookahead] is the
@@ -97,26 +78,20 @@ val open_channel : t -> src:int -> dst:int -> ?latency:float -> unit -> channel
 val egress : channel -> Packet.hop
 (** The hop to splice into a route in place of the cut link's
     propagation pipe. It consumes the packet (returning it to the
-    source domain's pool) and enqueues a timestamped message; the
-    destination shard re-materializes the packet at the next window
-    boundary and delivers it at [now + latency]. *)
+    source domain's pool) and copies it into the channel's current
+    outbox; the destination shard re-materializes the packet at the
+    next window boundary and delivers it at [now + latency]. *)
 
 val sent_count : channel -> int
 (** Messages sent so far (source-domain view). *)
 
-val compare_msg : msg -> msg -> int
-(** The deterministic merge order: [(arrival, egress, src_shard,
-    src_seq)], lexicographically — arrival first so deliveries schedule
-    in dispatch order, then the sequential run's arming order (egress
-    instant, then send order within it). A total order on distinct
-    messages from the runtime ([src_seq] is unique per source shard). *)
-
-val merge : msg list list -> msg list
-(** Merge per-channel FIFO batches into dispatch order — the order in
-    which the destination shard schedules the arrivals, and therefore
-    the order {!Sim} breaks same-instant ties. Equals sorting the
-    concatenation by {!compare_msg}; exposed for the QCheck property
-    ("merged dispatch order equals the sequential order"). *)
+val pending : t -> dst:int -> (int * int * float * float) list
+(** The messages waiting for shard [dst] at the next window boundary,
+    as [(src_shard, src_seq, arrival, egress)] in the order the
+    destination will schedule them: the k-way merge of its inbound
+    outboxes that {!run_windows} runs, in [(arrival, egress, src_shard,
+    src_seq)] order. An inspection for the merge-order property tests;
+    it consumes nothing. *)
 
 val windows : lookahead:float -> horizon:float -> int
 (** Number of lockstep windows needed to reach [horizon]. *)

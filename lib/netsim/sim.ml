@@ -767,7 +767,11 @@ let[@olia.alloc_free] dispatch t =
     fn ()
   end
 
-let run_until t horizon =
+(* The horizon rides in stage slot 0 like a deadline, so a computed
+   horizon (the shard window loop passes one per window) never boxes.
+   It is read once on entry: dispatched events restage the slot. *)
+let run_until_staged t =
+  let horizon = Float.Array.unsafe_get t.stage 0 in
   if horizon -. horizon <> 0. then
     invalid_arg "Sim.run_until: non-finite horizon";
   let continue = ref true in
@@ -781,6 +785,10 @@ let run_until t horizon =
   done;
   if Float.Array.unsafe_get t.clk 0 < horizon then
     Float.Array.unsafe_set t.clk 0 horizon
+
+let[@inline] run_until t horizon =
+  Float.Array.unsafe_set t.stage 0 horizon;
+  run_until_staged t
 
 let run t =
   while t.len > 0 do

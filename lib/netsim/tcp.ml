@@ -1,4 +1,5 @@
 module Trace = Repro_obs.Trace
+module Fmath = Repro_cc.Fmath
 
 type path = { fwd : Packet.hop array; rev : Packet.hop array }
 
@@ -20,9 +21,16 @@ type conn = {
   mutable completion_time : float option;
   size_pkts : int option;
   on_complete : (float -> unit) option;
+  lim : limits;
+  delayed_ack : bool;
+}
+
+(* A connection's float parameters, in a float-only record so reads are
+   unboxed: an immutable float of the mixed [conn] record is a boxed
+   pointer, and a max/min that may return it boxes the other operand. *)
+and limits = {
   min_rto : float;
   rcv_wnd : float;  (* receive-window cap on each subflow's cwnd, packets *)
-  delayed_ack : bool;
 }
 
 and sub = {
@@ -30,34 +38,41 @@ and sub = {
   idx : int;
   mutable fwd_route : Packet.hop array;  (* ends at this subflow's sink handler *)
   mutable rev_route : Packet.hop array;  (* ends at the ACK handler *)
+  fl : fstate;
   (* sender state *)
-  mutable cwnd : float;
-  mutable ssthresh : float;
   mutable snd_una : int;
   mutable snd_nxt : int;
   mutable limit : int;  (* packets assigned to this subflow (finite flows) *)
   mutable dupacks : int;
   mutable in_recovery : bool;
   mutable recover : int;
-  mutable srtt : float;
-  mutable rttvar : float;
-  mutable rto : float;
   mutable rto_timer : Sim.Timer.t;
   mutable rto_fire : unit -> unit;  (* persistent RTO callback *)
   mutable retransmits : int;
   mutable timeouts : int;
   sacked : (int, unit) Hashtbl.t;  (* scoreboard of SACKed sequences *)
   mutable high_rtx : int;  (* highest seq retransmitted this recovery *)
-  mutable inc_cached : float;  (* cached congestion-avoidance increase *)
   mutable inc_credit : int;  (* newly-acked packets the cache still covers *)
   mutable enabled : bool;  (* path manager can stop new data on a subflow *)
   (* receiver state *)
   mutable rcv_cum : int;  (* next expected sequence number *)
   ooo : (int, unit) Hashtbl.t;
   mutable delack_count : int;  (* in-order segments not yet acknowledged *)
-  mutable delack_echo : float;  (* timestamp to echo when the delack flushes *)
   mutable delack_timer : Sim.Timer.t;
   mutable delack_fire : unit -> unit;  (* persistent delayed-ACK callback *)
+}
+
+(* A subflow's float state, in a float-only record so stores stay
+   unboxed (a float field of the mixed [sub] record boxes on every
+   store). *)
+and fstate = {
+  mutable cwnd : float;
+  mutable ssthresh : float;
+  mutable srtt : float;
+  mutable rttvar : float;
+  mutable rto : float;
+  mutable inc_cached : float;  (* cached congestion-avoidance increase *)
+  mutable delack_echo : float;  (* timestamp to echo when the delack flushes *)
 }
 
 let[@inline] min_ssthresh sub =
@@ -75,9 +90,9 @@ let[@inline] invalidate_increase sub = sub.inc_credit <- 0
    as an inexplicable throughput collapse — catch it at the source. *)
 let check_window sub =
   if Invariant.enabled () then begin
-    Invariant.require (sub.cwnd >= 1.)
+    Invariant.require (sub.fl.cwnd >= 1.)
       (Printf.sprintf "tcp flow %d subflow %d: cwnd %g < 1 MSS"
-         sub.conn.flow_id sub.idx sub.cwnd);
+         sub.conn.flow_id sub.idx sub.fl.cwnd);
     Invariant.require
       (sub.snd_una <= sub.snd_nxt)
       (Printf.sprintf "tcp flow %d subflow %d: snd_una %d > snd_nxt %d"
@@ -90,7 +105,7 @@ let check_window sub =
    constant constructors). *)
 let trace_state sub =
   if sub.in_recovery then Trace.Fast_recovery
-  else if sub.cwnd < sub.ssthresh then Trace.Slow_start
+  else if sub.fl.cwnd < sub.fl.ssthresh then Trace.Slow_start
   else Trace.Congestion_avoidance
 
 let emit_transition sub ~from_state =
@@ -101,7 +116,7 @@ let emit_transition sub ~from_state =
 
 let emit_cwnd sub =
   Trace.cwnd_update ~time:(Sim.now sub.conn.sim) ~flow:sub.conn.flow_id
-    ~subflow:sub.idx ~cwnd:sub.cwnd ~ssthresh:sub.ssthresh
+    ~subflow:sub.idx ~cwnd:sub.fl.cwnd ~ssthresh:sub.fl.ssthresh
 
 let views conn =
   let vs = conn.views in
@@ -109,8 +124,8 @@ let views conn =
   for i = 0 to Array.length subs - 1 do
     let s = subs.(i) in
     let v = vs.(i) in
-    v.Repro_cc.Cc_types.cwnd <- s.cwnd;
-    v.Repro_cc.Cc_types.rtt <- (if s.srtt > 0. then s.srtt else 0.1)
+    v.Repro_cc.Cc_types.cwnd <- s.fl.cwnd;
+    v.Repro_cc.Cc_types.rtt <- (if s.fl.srtt > 0. then s.fl.srtt else 0.1)
   done;
   vs
 
@@ -147,7 +162,7 @@ let purge_sacked sub =
    time is gone: the timer's deadline is always the real one. *)
 let restart_rto sub =
   let sim = sub.conn.sim in
-  let deadline = Sim.now sim +. sub.rto in
+  let deadline = Sim.now sim +. sub.fl.rto in
   if Sim.Timer.active sim sub.rto_timer then
     Sim.Timer.reschedule sim sub.rto_timer deadline
   else
@@ -158,7 +173,7 @@ let ensure_rto sub =
   if not (Sim.Timer.active sim sub.rto_timer) then
     sub.rto_timer <-
       Sim.schedule_at ~src:"tcp.rto" sim
-        (Sim.now sim +. sub.rto)
+        (Sim.now sim +. sub.fl.rto)
         sub.rto_fire
 
 let on_timeout sub =
@@ -166,13 +181,13 @@ let on_timeout sub =
   let from_state = if traced then trace_state sub else Trace.Slow_start in
   if traced then
     Trace.rto_fired ~time:(Sim.now sub.conn.sim) ~flow:sub.conn.flow_id
-      ~subflow:sub.idx ~rto:sub.rto;
+      ~subflow:sub.idx ~rto:sub.fl.rto;
   sub.timeouts <- sub.timeouts + 1;
   invalidate_increase sub;
   sub.conn.cc.Repro_cc.Cc_types.on_loss ~idx:sub.idx;
   let fl = float_of_int (flight sub) in
-  sub.ssthresh <- Stdlib.max (fl /. 2.) (min_ssthresh sub);
-  sub.cwnd <- 1.;
+  sub.fl.ssthresh <- Fmath.max (fl /. 2.) (min_ssthresh sub);
+  sub.fl.cwnd <- 1.;
   sub.dupacks <- 0;
   sub.in_recovery <- false;
   sub.retransmits <- sub.retransmits + 1;
@@ -181,7 +196,7 @@ let on_timeout sub =
   sub.snd_nxt <- sub.snd_una;
   sub.high_rtx <- sub.snd_una - 1;
   purge_sacked sub;
-  sub.rto <- Stdlib.min (2. *. sub.rto) 60.;
+  sub.fl.rto <- Fmath.min (2. *. sub.fl.rto) 60.;
   transmit sub sub.snd_una;
   sub.snd_nxt <- sub.snd_una + 1;
   restart_rto sub;
@@ -208,8 +223,8 @@ let can_assign sub =
 (* Limited transmit (RFC 3042): the first two duplicate ACKs may clock out
    new segments beyond the congestion window. *)
 let effective_window sub =
-  int_of_float (Stdlib.min sub.cwnd sub.conn.rcv_wnd)
-  + if sub.in_recovery then 0 else Stdlib.min sub.dupacks 2
+  int_of_float (Fmath.min sub.fl.cwnd sub.conn.lim.rcv_wnd)
+  + if sub.in_recovery then 0 else Int.min sub.dupacks 2
 
 let rec try_send sub =
   if sub.enabled && (not sub.conn.completed)
@@ -231,28 +246,30 @@ let rec try_send sub =
 
 (* --- receiving acks ------------------------------------------------ *)
 
-let sample_rtt sub echo =
-  let rtt = Sim.now sub.conn.sim -. echo in
+(* Takes the ACK rather than its echo timestamp: a float argument to
+   this out-of-line function would box on every ACK. *)
+let sample_rtt sub (p : Packet.t) =
+  let rtt = Sim.now sub.conn.sim -. p.times.echo in
   if rtt > 0. then begin
-    if sub.srtt <= 0. then begin
-      sub.srtt <- rtt;
-      sub.rttvar <- rtt /. 2.
+    if sub.fl.srtt <= 0. then begin
+      sub.fl.srtt <- rtt;
+      sub.fl.rttvar <- rtt /. 2.
     end
     else begin
-      sub.rttvar <-
-        (0.75 *. sub.rttvar) +. (0.25 *. abs_float (sub.srtt -. rtt));
-      sub.srtt <- (0.875 *. sub.srtt) +. (0.125 *. rtt)
+      sub.fl.rttvar <-
+        (0.75 *. sub.fl.rttvar) +. (0.25 *. abs_float (sub.fl.srtt -. rtt));
+      sub.fl.srtt <- (0.875 *. sub.fl.srtt) +. (0.125 *. rtt)
     end;
     (* Linux floors rttvar at tcp_rto_min/4, so RTO ≈ srtt + 200 ms even
        when the RTT variance collapses; this absorbs queueing-delay spikes
        at the bottleneck without spurious timeouts. *)
-    let rttvar = Stdlib.max sub.rttvar (sub.conn.min_rto /. 4.) in
-    sub.rto <-
-      Stdlib.min 60.
-        (Stdlib.max (sub.srtt +. (4. *. rttvar)) sub.conn.min_rto);
+    let rttvar = Fmath.max sub.fl.rttvar (sub.conn.lim.min_rto /. 4.) in
+    sub.fl.rto <-
+      Fmath.min 60.
+        (Fmath.max (sub.fl.srtt +. (4. *. rttvar)) sub.conn.lim.min_rto);
     if Trace.enabled () then
       Trace.rtt_sample ~time:(Sim.now sub.conn.sim) ~flow:sub.conn.flow_id
-        ~subflow:sub.idx ~rtt ~srtt:sub.srtt
+        ~subflow:sub.idx ~rtt ~srtt:sub.fl.srtt
   end
 
 let check_completion conn =
@@ -291,7 +308,7 @@ let rec find_hole sub seq =
     (* lint: allow R9 -- [Some seq] only materializes during loss recovery, bounded by the loss rate, not on the in-order ACK steady state *)
     Some seq
 
-let next_hole sub = find_hole sub (Stdlib.max sub.snd_una (sub.high_rtx + 1))
+let next_hole sub = find_hole sub (Int.max sub.snd_una (sub.high_rtx + 1))
 
 let retransmit_hole sub =
   match next_hole sub with
@@ -310,12 +327,12 @@ let enter_recovery sub =
   conn.cc.Repro_cc.Cc_types.on_loss ~idx:sub.idx;
   let v = views conn in
   let decrease = conn.cc.Repro_cc.Cc_types.loss_decrease ~views:v ~idx:sub.idx in
-  sub.ssthresh <- Stdlib.max (sub.cwnd -. decrease) (min_ssthresh sub);
+  sub.fl.ssthresh <- Fmath.max (sub.fl.cwnd -. decrease) (min_ssthresh sub);
   sub.recover <- sub.snd_nxt;
   sub.in_recovery <- true;
   sub.high_rtx <- sub.snd_una - 1;
   ignore (retransmit_hole sub);
-  sub.cwnd <- sub.ssthresh +. float_of_int sub.dupacks;
+  sub.fl.cwnd <- sub.fl.ssthresh +. float_of_int sub.dupacks;
   ensure_rto sub;
   if traced then emit_transition sub ~from_state;
   check_window sub
@@ -330,11 +347,11 @@ let congestion_avoidance_increase sub newly =
   let conn = sub.conn in
   if sub.inc_credit <= 0 then begin
     let v = views conn in
-    sub.inc_cached <- conn.cc.Repro_cc.Cc_types.increase ~views:v ~idx:sub.idx;
-    sub.inc_credit <- Stdlib.max 1 (int_of_float sub.cwnd)
+    sub.fl.inc_cached <- conn.cc.Repro_cc.Cc_types.increase ~views:v ~idx:sub.idx;
+    sub.inc_credit <- Int.max 1 (int_of_float sub.fl.cwnd)
   end;
   sub.inc_credit <- sub.inc_credit - newly;
-  sub.cwnd <- Stdlib.max 1. (sub.cwnd +. (float_of_int newly *. sub.inc_cached))
+  sub.fl.cwnd <- Fmath.max 1. (sub.fl.cwnd +. (float_of_int newly *. sub.fl.inc_cached))
 
 let on_new_ack sub ackno =
   let conn = sub.conn in
@@ -344,28 +361,33 @@ let on_new_ack sub ackno =
   sub.snd_una <- ackno;
   (* after a go-back-N rewind the receiver may already hold later data *)
   if ackno > sub.snd_nxt then sub.snd_nxt <- ackno;
-  conn.cc.Repro_cc.Cc_types.on_ack ~idx:sub.idx ~acked:(float_of_int newly);
+  (* one or two packets per ACK pass static float constants; a computed
+     [~acked] would box on every call into the CC closure *)
+  (match newly with
+  | 1 -> conn.cc.Repro_cc.Cc_types.on_ack ~idx:sub.idx ~acked:1.
+  | 2 -> conn.cc.Repro_cc.Cc_types.on_ack ~idx:sub.idx ~acked:2.
+  | n -> conn.cc.Repro_cc.Cc_types.on_ack ~idx:sub.idx ~acked:(float_of_int n));
   if sub.in_recovery then begin
     if ackno > sub.recover then begin
       (* full ACK: leave recovery, deflate to ssthresh *)
       invalidate_increase sub;
       sub.in_recovery <- false;
       sub.dupacks <- 0;
-      sub.cwnd <- Stdlib.max 1. sub.ssthresh;
+      sub.fl.cwnd <- Fmath.max 1. sub.fl.ssthresh;
       purge_sacked sub
     end
     else begin
       (* partial ACK: retransmit the next hole, deflate *)
       ignore (retransmit_hole sub);
-      sub.cwnd <- Stdlib.max 1. (sub.cwnd -. float_of_int newly +. 1.)
+      sub.fl.cwnd <- Fmath.max 1. (sub.fl.cwnd -. float_of_int newly +. 1.)
     end
   end
   else begin
     sub.dupacks <- 0;
-    if sub.cwnd < sub.ssthresh then
+    if sub.fl.cwnd < sub.fl.ssthresh then
       (* slow start, with appropriate-byte-counting capped at 2 packets
          per ACK so cumulative jumps after recovery do not cause bursts *)
-      sub.cwnd <- sub.cwnd +. float_of_int (Stdlib.min newly 2)
+      sub.fl.cwnd <- sub.fl.cwnd +. float_of_int (Int.min newly 2)
     else congestion_avoidance_increase sub newly
   end;
   (* restart unconditionally: at w = 1 the flight is momentarily zero here
@@ -384,13 +406,13 @@ let on_new_ack sub ackno =
    recover without a timeout. *)
 let dupack_threshold sub =
   let fl = flight sub in
-  if fl >= 4 then 3 else Stdlib.max 1 (fl - 1)
+  if fl >= 4 then 3 else Int.max 1 (fl - 1)
 
 let on_dup_ack sub =
   if sub.in_recovery then begin
     (* each duplicate means a packet left the network: retransmit the next
        SACK hole if any, else inflate to clock out new data *)
-    if not (retransmit_hole sub) then sub.cwnd <- sub.cwnd +. 1.
+    if not (retransmit_hole sub) then sub.fl.cwnd <- sub.fl.cwnd +. 1.
   end
   else begin
     sub.dupacks <- sub.dupacks + 1;
@@ -414,7 +436,7 @@ let[@olia.alloc_free] ack_handler sub (p : Packet.t) =
   | Packet.Ack ->
     if not sub.conn.completed then begin
       let ackno = p.ackno in
-      sample_rtt sub p.times.echo;
+      sample_rtt sub p;
       record_sack sub p.sack;
       (* the packet goes back to the pool before the ACK is processed:
          nothing below reads it, and the cell is free for reuse by
@@ -444,7 +466,7 @@ let sack_block_around sub seq =
     (* lint: allow R9 -- SACK blocks are built only for out-of-order arrivals, off the in-order steady state the alloc-free proof covers *)
     Some (sack_lo sub seq, sack_hi sub (seq + 1))
 
-let send_ack sub ~echo ~sack =
+let[@inline] send_ack sub ~echo ~sack =
   sub.delack_count <- 0;
   let ack =
     Packet.ack ~flow:sub.conn.flow_id ~subflow:sub.idx ~ackno:sub.rcv_cum
@@ -483,7 +505,7 @@ let[@olia.alloc_free] sink_handler sub (p : Packet.t) =
     let gap = Hashtbl.length sub.ooo > 0 in
     if sub.conn.delayed_ack && in_order && not gap then begin
       sub.delack_count <- sub.delack_count + 1;
-      sub.delack_echo <- sent_at;
+      sub.fl.delack_echo <- sent_at;
       if sub.delack_count >= 2 then send_ack sub ~echo:sent_at ~sack:None
       else arm_delack_timer sub
     end
@@ -513,8 +535,7 @@ let create ~sim ?rcv_sim ~cc ~paths ?size_pkts ?(start = 0.)
       completion_time = None;
       size_pkts;
       on_complete;
-      min_rto;
-      rcv_wnd;
+      lim = { min_rto; rcv_wnd };
       delayed_ack;
     }
   in
@@ -533,30 +554,33 @@ let create ~sim ?rcv_sim ~cc ~paths ?size_pkts ?(start = 0.)
         idx;
         fwd_route = [||];
         rev_route = [||];
-        cwnd = initial_cwnd;
-        ssthresh = initial_ssthresh;
+        fl =
+          {
+            cwnd = initial_cwnd;
+            ssthresh = initial_ssthresh;
+            srtt = 0.;
+            rttvar = 0.;
+            rto = 1.;
+            inc_cached = 0.;
+            delack_echo = 0.;
+          };
         snd_una = 0;
         snd_nxt = 0;
         limit = 0;
         dupacks = 0;
         in_recovery = false;
         recover = 0;
-        srtt = 0.;
-        rttvar = 0.;
-        rto = 1.;
         rto_timer = Sim.Timer.none;
         rto_fire = ignore;
         retransmits = 0;
         timeouts = 0;
         sacked = Hashtbl.create 64;
         high_rtx = -1;
-        inc_cached = 0.;
         inc_credit = 0;
         enabled = true;
         rcv_cum = 0;
         ooo = Hashtbl.create 64;
         delack_count = 0;
-        delack_echo = 0.;
         delack_timer = Sim.Timer.none;
         delack_fire = ignore;
       }
@@ -569,7 +593,7 @@ let create ~sim ?rcv_sim ~cc ~paths ?size_pkts ?(start = 0.)
     sub.delack_fire <-
       (fun () ->
         if sub.delack_count > 0 then
-          send_ack sub ~echo:sub.delack_echo ~sack:None);
+          send_ack sub ~echo:sub.fl.delack_echo ~sack:None);
     sub
   in
   conn.subs <- Array.mapi make_sub paths;
@@ -599,9 +623,9 @@ let total_acked conn =
 
 let completed conn = conn.completed
 let completion_time conn = conn.completion_time
-let subflow_cwnd conn idx = conn.subs.(idx).cwnd
-let subflow_ssthresh conn idx = conn.subs.(idx).ssthresh
-let subflow_rtt conn idx = conn.subs.(idx).srtt
+let subflow_cwnd conn idx = conn.subs.(idx).fl.cwnd
+let subflow_ssthresh conn idx = conn.subs.(idx).fl.ssthresh
+let subflow_rtt conn idx = conn.subs.(idx).fl.srtt
 let subflow_acked conn idx = conn.subs.(idx).snd_una
 let subflow_retransmits conn idx = conn.subs.(idx).retransmits
 let subflow_timeouts conn idx = conn.subs.(idx).timeouts

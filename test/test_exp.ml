@@ -56,6 +56,30 @@ let test_axis_errors () =
     Alcotest.fail "bad int literal should raise"
   with Invalid_argument _ -> ()
 
+(* Non-finite floats are refused where they enter, naming the
+   parameter: a [-p], a sweep list and a sweep range bound. *)
+let test_rejects_non_finite () =
+  List.iter
+    (fun raw ->
+      let expect =
+        Invalid_argument
+          (Printf.sprintf "Spec.parse_value: c1: %S is not a finite float" raw)
+      in
+      Alcotest.check_raises ("-p c1=" ^ raw) expect (fun () ->
+          ignore (E.Spec.parse_assign scen_a_spec ("c1=" ^ raw)));
+      Alcotest.check_raises ("axis list " ^ raw) expect (fun () ->
+          ignore (E.Sweep.axis scen_a_spec ~key:"c1" ("1," ^ raw)));
+      Alcotest.check_raises ("axis range " ^ raw) expect (fun () ->
+          ignore (E.Sweep.axis scen_a_spec ~key:"c1" ("1:" ^ raw))))
+    [ "nan"; "inf"; "-inf" ];
+  Alcotest.check_raises "malformed float names the parameter"
+    (Invalid_argument "Spec.parse_value: c1: \"x\" is not a valid float")
+    (fun () -> ignore (E.Spec.parse_assign scen_a_spec "c1=x"));
+  match E.Spec.parse_assign scen_a_spec "c1=1e308" with
+  | _, E.Spec.Float f ->
+    Alcotest.(check bool) "large finite accepted" true (f > 1e307)
+  | _ -> Alcotest.fail "c1 parses as a float"
+
 let test_points_cross_product () =
   let axes =
     [
@@ -299,6 +323,7 @@ let suite =
     ("axis: float range", `Quick, test_axis_float_range);
     ("axis: string list", `Quick, test_axis_string_list);
     ("axis: errors", `Quick, test_axis_errors);
+    ("spec: non-finite floats rejected", `Quick, test_rejects_non_finite);
     ("points: cross product", `Quick, test_points_cross_product);
     ("registry: round trip", `Slow, test_registry_round_trip);
     ("registry: unknown name", `Quick, test_registry_unknown);

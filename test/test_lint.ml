@@ -631,6 +631,34 @@ let test_fixture_trace_payload () =
          f.rule = Finding.R9 && contains ~needle:"tuple" f.message)
        fs)
 
+(* Polymorphic min/max/compare on the hot path box their float
+   arguments: R9 catalogues them as allocations, called or passed as
+   values, bare or [Stdlib.]-qualified, while monomorphic twins and
+   local shadows stay silent. *)
+let test_fixture_polycmp () =
+  let _, fs = Engine.lint_paths [ fixture "r9_polycmp_broken.ml" ] in
+  check_count "max, min and compare all caught" Finding.R9 3 fs;
+  Alcotest.(check bool) "message names the boxing" true
+    (List.for_all
+       (fun (f : Finding.t) ->
+         f.rule <> Finding.R9
+         || contains ~needle:"polymorphic compare boxes float arguments"
+              f.message)
+       fs);
+  Alcotest.(check bool) "chain pins the clamp helper" true
+    (List.exists
+       (fun (f : Finding.t) -> contains ~needle:"clamp" f.message)
+       fs);
+  check_count "passed as a value" Finding.R9 1
+    (lint "let[@olia.alloc_free] best a = Array.fold_left max 0. a");
+  check_count "monomorphic and shadowed ones are fine" Finding.R9 0
+    (lint
+       {|
+let[@olia.alloc_free] f a b =
+  let max x y = if x >= y then x else y in
+  Int.max (max a b) (Float.to_int (Fmath.min 1. 2.))
+|})
+
 (* The fixture's content must sit at the sharded runtime's real path for
    the R10 roots to arm, so read it off disk and re-path it. *)
 let test_r10_shard_roots () =
@@ -704,6 +732,8 @@ let suite =
     Alcotest.test_case "text report" `Quick test_report_text;
     Alcotest.test_case "json report" `Quick test_report_json;
     Alcotest.test_case "R9 fires on a direct allocation" `Quick test_r9_direct;
+    Alcotest.test_case "R9 flags polymorphic min/max/compare" `Quick
+      test_fixture_polycmp;
     Alcotest.test_case "R9 follows cross-module calls" `Quick
       test_r9_cross_module;
     Alcotest.test_case "R9 prunes guarded branches" `Quick

@@ -8,6 +8,7 @@ let () =
       ("fixedpoint", Test_fixedpoint.suite);
       ("netsim", Test_netsim.suite);
       ("timer", Test_timer.suite);
+      ("alloc", Test_alloc.suite);
       ("tcp", Test_tcp.suite);
       ("topology", Test_topology.suite);
       ("shard", Test_shard.suite);

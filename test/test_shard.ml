@@ -72,61 +72,60 @@ let test_cut_rejects_bad_shards () =
 
 (* --- merge order -------------------------------------------------------- *)
 
-let msg ~arrival ~src_shard ~src_seq ~chan_id ~chan_seq =
-  {
-    Shard.arrival; egress = arrival; src_shard; src_seq; chan_id; chan_seq;
-    kind = Packet.Data;
-    pkt_seq = 0; flow = 0; subflow = 0; hop = 0; route = [||]; ackno = 0;
-    sack = None; sent_at = 0.; enqueued_at = 0.; echo = 0.;
-  }
-
-(* Per-channel batches (arrival non-decreasing, chan_seq increasing,
-   src_seq increasing per source shard, as the runtime produces them):
-   the merged dispatch order is the unique global (arrival, egress,
-   src_shard, src_seq) order, however the batches are arranged. *)
+(* Channels into shard 0 from three or more source shards (so the
+   destination takes the k-way merge, not the single-channel fast
+   path), some sources with two channels of different latency. Each
+   source sim clocks its sends out at quarter-second multiples, so
+   arrivals and egress instants tie across channels often. The order
+   [Shard.pending] reports — the merge the window loop runs — must be
+   the unique global (arrival, egress, src_shard, src_seq) order of the
+   sends as the sources recorded them, however they are spread over
+   the outboxes. *)
 let prop_merge_is_sequential_order =
   QCheck.Test.make ~name:"shard: merge = sequential dispatch order" ~count:200
     QCheck.(
-      list_of_size (Gen.int_range 1 6)
-        (pair (pair (int_range 0 3) (int_range 0 7))
-           (small_list (int_range 0 20))))
-    (fun chans ->
-      let counters = Array.make 4 0 in
-      let batches =
-        List.mapi
-          (fun chan_id ((src_shard, _), deltas) ->
-            let t = ref 0. in
-            List.mapi
-              (fun chan_seq d ->
-                t := !t +. float_of_int d;
-                let src_seq = counters.(src_shard) in
-                counters.(src_shard) <- src_seq + 1;
-                msg ~arrival:!t ~src_shard ~src_seq ~chan_id ~chan_seq)
-              deltas)
-          chans
+      pair (int_range 3 5)
+        (list_of_size (Gen.int_range 3 8)
+           (triple (int_range 1 5) (int_range 0 2)
+              (small_list (int_range 0 3)))))
+    (fun (n_src, chans) ->
+      let sims = Array.init (n_src + 1) (fun _ -> Sim.create ()) in
+      let group = Shard.create ~sims ~lookahead:1. in
+      let sent = ref [] in
+      let counters = Array.make (n_src + 1) 0 in
+      List.iteri
+        (fun c (src, lat, deltas) ->
+          (* the first three channels cover three distinct sources *)
+          let src = if c < 3 then c + 1 else 1 + (src mod n_src) in
+          let latency = 1. +. (0.25 *. float_of_int lat) in
+          let ch = Shard.open_channel group ~src ~dst:0 ~latency () in
+          let route = [| Shard.egress ch |] in
+          let t = ref 0. in
+          List.iter
+            (fun d ->
+              t := Float.min 1. (!t +. (0.25 *. float_of_int d));
+              let sim = sims.(src) in
+              ignore
+                (Sim.schedule_at ~src:"test.send" sim !t (fun () ->
+                     let now = Sim.now sim in
+                     sent :=
+                       (src, counters.(src), now +. latency, now) :: !sent;
+                     counters.(src) <- counters.(src) + 1;
+                     Packet.forward
+                       (Packet.data ~flow:0 ~subflow:0 ~seq:0 ~sent_at:now
+                          ~route))
+                  : Sim.Timer.t))
+            deltas)
+        chans;
+      for s = 1 to n_src do
+        Sim.run_until sims.(s) 1.
+      done;
+      let key (s, q, a, e) = (a, e, s, q) in
+      let expected =
+        List.sort (fun x y -> compare (key x) (key y)) !sent
       in
-      let merged = Shard.merge batches in
-      let sequential = List.sort Shard.compare_msg (List.concat batches) in
-      let rec sorted = function
-        | a :: (b :: _ as rest) ->
-          Shard.compare_msg a b <= 0 && sorted rest
-        | _ -> true
-      in
-      merged = sequential && sorted merged
-      (* within a channel the runtime order (chan_seq) survives the merge *)
-      && List.for_all
-           (fun batch ->
-             let kept =
-               List.filter
-                 (fun m ->
-                   match batch with
-                   | [] -> false
-                   | b :: _ -> m.Shard.chan_id = b.Shard.chan_id)
-                 merged
-             in
-             List.map (fun m -> m.Shard.chan_seq) kept
-             = List.map (fun m -> m.Shard.chan_seq) batch)
-           batches)
+      let merged = Shard.pending group ~dst:0 in
+      merged = expected && Shard.pending group ~dst:0 = merged)
 
 let test_windows () =
   Alcotest.(check int) "exact" 10 (Shard.windows ~lookahead:0.001 ~horizon:0.01);
