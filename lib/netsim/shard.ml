@@ -51,11 +51,21 @@ type channel = {
   mutable sent : int;
 }
 
+(* One destination's inbound channels (registration order), with the
+   scratch state of its merge. Kept by the group, so the scratch keeps
+   its size across [run_windows] calls. *)
+type ingress = {
+  mutable inbound : channel array;
+  mutable cursor : int array;  (* per inbound channel: next unmerged slot *)
+  mutable order : int array;
+      (* the merged order: (inbound index, slot) pairs *)
+}
+
 type t = {
   sims : Sim.t array;
   lookahead : float;
   sources : source array;
-  mutable channels : channel list;  (* reverse registration order *)
+  ingress : ingress array;  (* by destination shard *)
   mutable epoch : int;
       (* windows run so far: window [w] of a [run_windows] call is
          global window [epoch + w] and fills outboxes of that parity *)
@@ -80,7 +90,8 @@ let create ~sims ~lookahead =
     sims;
     lookahead;
     sources = Array.init n (fun _ -> { next_seq = 0; parity = 0 });
-    channels = [];
+    ingress =
+      Array.init n (fun _ -> { inbound = [||]; cursor = [||]; order = [||] });
     epoch = 0;
   }
 
@@ -111,7 +122,9 @@ let open_channel t ~src ~dst ?latency () =
       sent = 0;
     }
   in
-  t.channels <- ch :: t.channels;
+  let g = t.ingress.(dst) in
+  g.inbound <- Array.append g.inbound [| ch |];
+  g.cursor <- Array.make (Array.length g.inbound) 0;
   ch
 
 (* Doubling growth of an outbox's lanes: O(1) amortized, and absent
@@ -217,22 +230,6 @@ let[@inline] before ca (a : outbox) i cb (b : outbox) j =
     else if ca.src_shard <> cb.src_shard then ca.src_shard < cb.src_shard
     else a.ints.((i * n_int) + i_src_seq) < b.ints.((j * n_int) + i_src_seq)
 
-(* One destination's inbound channels (registration order), with the
-   scratch state of its merge. *)
-type ingress = {
-  inbound : channel array;
-  cursor : int array;  (* per inbound channel: next unmerged slot *)
-  mutable order : int array;
-      (* the merged order: (inbound index, slot) pairs *)
-}
-
-let ingress t dst =
-  let inbound =
-    Array.of_list
-      (List.rev (List.filter (fun ch -> ch.dst_shard = dst) t.channels))
-  in
-  { inbound; cursor = Array.make (Array.length inbound) 0; order = [||] }
-
 (* Messages parked in the [parity] outboxes of inbound channels [c..]. *)
 let rec parked inbound parity c acc =
   if c = Array.length inbound then acc
@@ -278,30 +275,20 @@ let merge g parity =
   n
 
 (* Schedule every message the inbound channels sent in the previous
-   window, in merge order, and empty their [parity] outboxes. With a
-   single inbound channel (two shards) the outbox is the order. *)
+   window, in merge order, and empty their [parity] outboxes. *)
 let[@olia.alloc_free] drain sim g parity =
   let inbound = g.inbound in
-  if Array.length inbound = 1 then begin
-    let b = inbound.(0).boxes.(parity) in
-    for k = 0 to b.len - 1 do
-      deliver sim b k
-    done;
-    b.len <- 0
-  end
-  else if Array.length inbound > 1 then begin
-    let n = merge g parity in
-    let order = g.order in
-    for m = 0 to n - 1 do
-      deliver sim inbound.(order.(2 * m)).boxes.(parity) order.((2 * m) + 1)
-    done;
-    for c = 0 to Array.length inbound - 1 do
-      inbound.(c).boxes.(parity).len <- 0
-    done
-  end
+  let n = merge g parity in
+  let order = g.order in
+  for m = 0 to n - 1 do
+    deliver sim inbound.(order.(2 * m)).boxes.(parity) order.((2 * m) + 1)
+  done;
+  for c = 0 to Array.length inbound - 1 do
+    inbound.(c).boxes.(parity).len <- 0
+  done
 
 let pending t ~dst =
-  let g = ingress t dst in
+  let g = t.ingress.(dst) in
   let parity = t.epoch land 1 in
   let n = merge g parity in
   List.init n (fun m ->
@@ -361,7 +348,8 @@ let run_windows ~pool t ~horizon =
   let n = Array.length t.sims in
   (* Tracing and profiling are per-worker: each domain binds its own
      trace ring (when rings are armed) and tags its profile table with
-     its shard id, so the window loop runs armed with no shared sink. *)
+     its shard id (when profiling is), so the window loop runs armed
+     with no shared sink. *)
   if n = 1 then begin
     (* one shard: no channels can exist (open_channel rejects src = dst),
        so the window loop degenerates to chained run_until calls — run
@@ -369,11 +357,10 @@ let run_windows ~pool t ~horizon =
        single run_until are bitwise identical, which is what the
        shards=1 ≡ sequential golden pins down. *)
     if Trace.enabled () then Trace.bind_ring ~shard:0;
-    Profile.bind ~shard:0;
+    if Profile.enabled () then Profile.bind ~shard:0;
     Sim.run_until t.sims.(0) horizon
   end
   else begin
-    let ingress = Array.init n (ingress t) in
     let nw = windows ~lookahead:t.lookahead ~horizon in
     let epoch = t.epoch in
     let barrier = Barrier.create n in
@@ -389,9 +376,9 @@ let run_windows ~pool t ~horizon =
        passed the next barrier and so finished draining it. *)
     let worker i () =
       if Trace.enabled () then Trace.bind_ring ~shard:i;
-      Profile.bind ~shard:i;
+      if Profile.enabled () then Profile.bind ~shard:i;
       let sim = t.sims.(i) in
-      let ing = ingress.(i) in
+      let ing = t.ingress.(i) in
       let src = t.sources.(i) in
       for w = 1 to nw do
         drain sim ing ((epoch + w - 1) land 1);

@@ -73,8 +73,9 @@ let test_cut_rejects_bad_shards () =
 (* --- merge order -------------------------------------------------------- *)
 
 (* Channels into shard 0 from three or more source shards (so the
-   destination takes the k-way merge, not the single-channel fast
-   path), some sources with two channels of different latency. Each
+   k-way merge picks among several heads, which the two-shard
+   benchmarks never exercise), some sources with two channels of
+   different latency. Each
    source sim clocks its sends out at quarter-second multiples, so
    arrivals and egress instants tie across channels often. The order
    [Shard.pending] reports — the merge the window loop runs — must be
