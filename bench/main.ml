@@ -861,7 +861,7 @@ let micro_estimates_once () =
            let sim = Mptcp_repro.Netsim.Sim.create () in
            for i = 0 to 999 do
              ignore
-               (Mptcp_repro.Netsim.Sim.schedule_at ~src:"bench.micro" sim
+               (Mptcp_repro.Netsim.Sim.schedule_at sim
                   (float_of_int ((i * 7919) mod 1000))
                   (fun () -> ())
                  : Mptcp_repro.Netsim.Sim.Timer.t)

@@ -2,7 +2,7 @@
 
    Walks every .ml/.mli under the given roots (default: lib bin bench
    test), parses them with compiler-libs and enforces the invariant
-   catalogue described in docs/LINT.md: the per-file rules R1-R8 plus
+   catalogue described in docs/LINT.md: the per-file rules R1-R7 plus
    the whole-program rules R9-R11, which run over a cross-module call
    graph built from per-binding summaries. Exit status: 0 clean,
    1 findings, 2 usage error. *)
@@ -17,7 +17,7 @@ let print_rules () =
       Printf.printf "%-8s %s\n" (Repro_lint.Finding.rule_name r)
         (Repro_lint.Finding.rule_doc r))
     Repro_lint.Finding.
-      [ R1; R2; R3; R4; R5; R6; R7; R8; R9; R10; R11; Parse; Suppress ]
+      [ R1; R2; R3; R4; R5; R6; R7; R9; R10; R11; Parse; Suppress ]
 
 let () =
   let format = ref "text" in

@@ -109,14 +109,6 @@ let format_opt =
   let doc = "Report rendering on stdout: $(b,text) tables or $(b,json)." in
   Arg.(value & opt format_conv `Text & info [ "format" ] ~docv:"FMT" ~doc)
 
-let profile_opt =
-  let doc =
-    "Profile the event loop: per-source dispatch counts and wall time, \
-     printed after the run (wall times are non-deterministic and never \
-     enter the report JSON)."
-  in
-  Arg.(value & flag & info [ "profile" ] ~doc)
-
 module Obs = Mptcp_repro.Obs
 
 let trace_ring_opt =
@@ -185,7 +177,7 @@ let sharded_scenario_names () =
     (fun n -> has_shards_param (S.Registry.find n))
     S.Registry.names
 
-let run_generic name params shards out trace trace_ring report format profile =
+let run_generic name params shards out trace trace_ring report format =
   try
     let (module Sc : S.Registry.SCENARIO) = S.Registry.find name in
     let bindings = List.map (E.Spec.parse_assign Sc.spec) params in
@@ -203,15 +195,10 @@ let run_generic name params shards out trace trace_ring report format profile =
                (String.concat ", " (sharded_scenario_names ())))
         else ("shards", E.Spec.Int n) :: bindings
     in
-    if profile then begin
-      Obs.Profile.reset ();
-      Obs.Profile.set_enabled true
-    end;
     let acc, outcome =
       with_obs_sinks ~trace ~report:(Option.is_some report)
         ~ring_capacity:trace_ring (fun () -> Sc.run bindings)
     in
-    if profile then Obs.Profile.set_enabled false;
     Option.iter (fun path -> Printf.printf "wrote trace %s\n" path) trace;
     Printf.printf "%s:\n" name;
     print_outcome outcome;
@@ -243,16 +230,6 @@ let run_generic name params shards out trace trace_ring report format profile =
             Printf.printf "wrote report %s\n" path)
           report)
       acc;
-    if profile then begin
-      Mptcp_repro.Stats.Table.print
-        (Obs.Profile.to_table (Obs.Profile.report ()));
-      (* the per-shard breakdown only says something when more than one
-         domain accumulated dispatches *)
-      match Obs.Profile.report_by_shard () with
-      | [] | [ _ ] -> ()
-      | by_shard ->
-        Mptcp_repro.Stats.Table.print (Obs.Profile.to_shard_table by_shard)
-    end;
     `Ok ()
   with Invalid_argument msg -> `Error (false, msg)
 
@@ -262,7 +239,7 @@ let run_cmd =
     Term.(
       ret
         (const run_generic $ scenario_pos $ params_opt $ shards_opt $ out_opt
-        $ trace_opt $ trace_ring_opt $ report_opt $ format_opt $ profile_opt))
+        $ trace_opt $ trace_ring_opt $ report_opt $ format_opt))
 
 (* --- report: offline trace analysis ------------------------------------- *)
 
@@ -480,13 +457,14 @@ let traced_events cfg ~ring_capacity s =
          ignore (S.Fattree_sharded.run (cfg s) : S.Fattree_sharded.result)))
 
 (* Run the sharded FatTree scenario at --shards 1 and --shards N with the
-   same seed, compare banded metrics (the CI gate for the conservative
-   lookahead runtime) and report the wall-clock speedup. With [--traced],
+   same seed, require the two results to be bitwise equal field by field
+   (the CI gate for the conservative lookahead runtime), and report the
+   wall-clock speedup and each shard's busy/wait split. With [--traced],
    also run both shard counts with trace rings armed and require the
    decoded traces to be byte-identical — the strongest form of the
    invariance claim. *)
 let run_shard_invariance k shards flows_per_host subflows rate algo duration
-    warmup seed tolerance min_speedup traced trace_ring trace_out out =
+    warmup seed min_speedup traced trace_ring trace_out out =
   try
     if shards < 2 then
       invalid_arg "shard-invariance: --shards must be >= 2 (it is compared \
@@ -514,42 +492,33 @@ let run_shard_invariance k shards flows_per_host subflows rate algo duration
     let shd, walln = timed shards in
     let speedup = wall1 /. walln in
     Printf.printf "  %.1f s wall (speedup %.2fx)\n" walln speedup;
-    let checks =
-      List.map
-        (fun (metric, b, s, limit, kind) ->
-          let dev =
-            match kind with
-            | `Rel -> abs_float (s -. b) /. Stdlib.max (abs_float b) 1e-9
-            | `Abs -> abs_float (s -. b)
-          in
-          (metric, b, s, dev, limit, kind, dev <= limit))
-        [
-          ("aggregate_mbps", base.S.Fattree_sharded.aggregate_mbps,
-           shd.S.Fattree_sharded.aggregate_mbps, tolerance, `Rel);
-          ("mean_flow_mbps", base.S.Fattree_sharded.mean_flow_mbps,
-           shd.S.Fattree_sharded.mean_flow_mbps, tolerance, `Rel);
-          ("p50_flow_mbps", base.S.Fattree_sharded.p50_flow_mbps,
-           shd.S.Fattree_sharded.p50_flow_mbps, tolerance, `Rel);
-          ("p10_flow_mbps", base.S.Fattree_sharded.p10_flow_mbps,
-           shd.S.Fattree_sharded.p10_flow_mbps, 2. *. tolerance, `Rel);
-          ("p90_flow_mbps", base.S.Fattree_sharded.p90_flow_mbps,
-           shd.S.Fattree_sharded.p90_flow_mbps, 2. *. tolerance, `Rel);
-          ("mean_core_loss", base.S.Fattree_sharded.mean_core_loss,
-           shd.S.Fattree_sharded.mean_core_loss, 0.02, `Abs);
-        ]
+    let table =
+      Mptcp_repro.Stats.Table.create
+        ~title:(Printf.sprintf "per-shard wall clock, --shards %d" shards)
+        ~columns:[ "shard"; "events"; "busy s"; "wait s" ]
     in
     List.iter
-      (fun (metric, b, s, dev, limit, kind, ok) ->
-        Printf.printf "%s %-18s shards=1 %10.5g  shards=%d %10.5g  %s %.3g \
-                       (limit %.3g)\n"
-          (if ok then "ok  " else "FAIL")
-          metric b shards s
-          (match kind with `Rel -> "rel-dev" | `Abs -> "abs-dev")
-          dev limit)
-      checks;
+      (fun (c : Obs.Meter.shard_counters) ->
+        Mptcp_repro.Stats.Table.add_row table
+          [
+            string_of_int c.shard;
+            string_of_int c.events_processed;
+            Printf.sprintf "%.3f" c.busy_s;
+            Printf.sprintf "%.3f" c.wait_s;
+          ])
+      shd.S.Fattree_sharded.shard_obs;
+    Mptcp_repro.Stats.Table.print table;
+    let difference = S.Fattree_sharded.first_difference base shd in
+    (match difference with
+    | None ->
+      Printf.printf "ok   results bitwise identical (aggregate %.6g Mb/s)\n"
+        shd.S.Fattree_sharded.aggregate_mbps
+    | Some field ->
+      Printf.printf "FAIL %s differs between shards=1 and shards=%d\n" field
+        shards);
     Printf.printf "cut messages: %d (shards=1: %d)\n"
       shd.S.Fattree_sharded.cut_messages base.S.Fattree_sharded.cut_messages;
-    let metrics_pass = List.for_all (fun (_, _, _, _, _, _, ok) -> ok) checks in
+    let results_pass = Option.is_none difference in
     let speedup_pass = min_speedup <= 0. || speedup >= min_speedup in
     if not speedup_pass then
       Printf.printf "FAIL speedup %.2fx < required %.2fx\n" speedup min_speedup
@@ -600,6 +569,8 @@ let run_shard_invariance k shards flows_per_host subflows rate algo duration
             ("mean_core_loss", Json.Float r.S.Fattree_sharded.mean_core_loss);
             ("cut_messages", Json.Int r.S.Fattree_sharded.cut_messages);
             ("wall_s", Json.Float wall);
+            ( "per_shard",
+              Obs.Meter.shards_to_json r.S.Fattree_sharded.shard_obs );
           ]
       in
       Json.Obj
@@ -612,35 +583,14 @@ let run_shard_invariance k shards flows_per_host subflows rate algo duration
           ("algo", Json.String algo);
           ("duration_s", Json.Float duration);
           ("seed", Json.Int seed);
-          ("tolerance", Json.Float tolerance);
           ("min_speedup", Json.Float min_speedup);
           ("baseline", result_json base wall1);
           ("sharded", result_json shd walln);
           ("speedup", Json.Float speedup);
-          ( "checks",
-            Json.List
-              (List.map
-                 (fun (metric, b, s, dev, limit, kind, ok) ->
-                   Json.Obj
-                     [
-                       ("metric", Json.String metric);
-                       ("baseline", Json.Float b);
-                       ("sharded", Json.Float s);
-                       ( "deviation",
-                         Json.Obj
-                           [
-                             ( "kind",
-                               Json.String
-                                 (match kind with
-                                 | `Rel -> "relative"
-                                 | `Abs -> "absolute") );
-                             ("value", Json.Float dev);
-                             ("limit", Json.Float limit);
-                           ] );
-                       ("pass", Json.Bool ok);
-                     ])
-                 checks) );
-          ("metrics_pass", Json.Bool metrics_pass);
+          ("bitwise_identical", Json.Bool results_pass);
+          ( "first_difference",
+            match difference with None -> Json.Null | Some f -> Json.String f
+          );
           ("speedup_pass", Json.Bool speedup_pass);
         ]
         @ (match trace_result with
@@ -655,16 +605,16 @@ let run_shard_invariance k shards flows_per_host subflows rate algo duration
                     ("byte_identical", Json.Bool identical);
                   ] );
             ])
-        @ [ ("pass", Json.Bool (metrics_pass && speedup_pass && trace_pass)) ])
+        @ [ ("pass", Json.Bool (results_pass && speedup_pass && trace_pass)) ])
     in
     Option.iter
       (fun path ->
         Json.write ~path json;
         Printf.printf "wrote %s\n" path)
       out;
-    if metrics_pass && speedup_pass && trace_pass then begin
+    if results_pass && speedup_pass && trace_pass then begin
       Printf.printf
-        "shard-invariance: PASS (metrics within bands%s, speedup %.2fx)\n"
+        "shard-invariance: PASS (results bitwise identical%s, speedup %.2fx)\n"
         (if traced then ", traces byte-identical" else "")
         speedup;
       `Ok ()
@@ -706,11 +656,6 @@ let shard_invariance_cmd =
     Arg.(value & opt float 1. & info [ "warmup"; "w" ] ~docv:"SEC"
            ~doc:"Warm-up excluded from the measurements, seconds.")
   in
-  let tolerance =
-    Arg.(value & opt float 0.1 & info [ "tolerance" ] ~docv:"FRAC"
-           ~doc:"Relative band on aggregate/mean/median goodput (tail \
-                 percentiles get twice this; core loss an absolute 0.02).")
-  in
   let min_speedup =
     Arg.(value & opt float 0. & info [ "min-speedup" ] ~docv:"X"
            ~doc:"Fail unless sharded wall-clock speedup reaches $(docv) \
@@ -731,18 +676,19 @@ let shard_invariance_cmd =
   in
   let doc =
     "CI gate: run the fattree-sharded scenario at --shards 1 and --shards \
-     N with one seed, fail if banded metrics diverge (shard-count \
-     invariance of the conservative-lookahead runtime), and report the \
-     wall-clock speedup. With $(b,--traced), additionally require the \
+     N with one seed, fail naming the first result field whose float bits \
+     differ (shard-count invariance of the conservative-lookahead \
+     runtime), and report the wall-clock speedup and each shard's busy \
+     and barrier-wait time. With $(b,--traced), additionally require the \
      decoded sharded trace to be byte-identical to the --shards 1 trace."
   in
   let man =
     [
       `S Manpage.s_examples;
       `P "olia_sim shard-invariance --shards 4 --out report.json";
-      `P "olia_sim shard-invariance --k 4 --flows-per-host 2 -d 2 \
+      `P "olia_sim shard-invariance -k 4 --flows-per-host 2 -d 2 \
           --min-speedup 1.2";
-      `P "olia_sim shard-invariance --k 4 --flows-per-host 2 -d 2 --traced \
+      `P "olia_sim shard-invariance -k 4 --flows-per-host 2 -d 2 --traced \
           --trace-out decoded.jsonl";
     ]
   in
@@ -751,8 +697,7 @@ let shard_invariance_cmd =
     Term.(
       ret
         (const run_shard_invariance $ k $ shards $ flows_per_host
-        $ subflows $ rate $ algo $ duration $ warmup $ seed $ tolerance
-        $ min_speedup $ traced $ trace_ring_opt $ trace_out $ out_opt))
+        $ subflows $ rate $ algo $ duration $ warmup $ seed $ min_speedup $ traced $ trace_ring_opt $ trace_out $ out_opt))
 
 (* --- check ----------------------------------------------------------------- *)
 

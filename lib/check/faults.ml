@@ -14,16 +14,14 @@ let one_way = SC.paper_propagation_delay /. 2.
 let sample_total ~sim conn t =
   let r = ref 0 in
   ignore
-    (Sim.schedule_at ~src:"check.sample" sim t (fun () ->
-         r := Tcp.total_acked conn)
+    (Sim.schedule_at sim t (fun () -> r := Tcp.total_acked conn)
       : Sim.Timer.t);
   r
 
 let sample_subflow ~sim conn s t =
   let r = ref 0 in
   ignore
-    (Sim.schedule_at ~src:"check.sample" sim t (fun () ->
-         r := Tcp.subflow_acked conn s)
+    (Sim.schedule_at sim t (fun () -> r := Tcp.subflow_acked conn s)
       : Sim.Timer.t);
   r
 

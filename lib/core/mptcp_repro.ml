@@ -87,7 +87,6 @@ module Obs = struct
   module Meter = Repro_obs.Meter
   module Snapshot = Repro_obs.Snapshot
   module Report = Repro_obs.Report
-  module Profile = Repro_obs.Profile
 end
 
 module Check = struct

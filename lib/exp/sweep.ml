@@ -131,7 +131,6 @@ let run ?domains (module Sc : Scenario_intf.S) pts_list =
     let next = Atomic.make 0 in
     let worker w () =
       if Repro_obs.Trace.enabled () then Repro_obs.Trace.bind_ring ~shard:w;
-      Repro_obs.Profile.bind ~shard:w;
       let rec loop () =
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin

@@ -194,7 +194,7 @@ let check_determinism_taint g =
   done;
   (* Taint flows callee -> caller, to a fixpoint over the (cyclic)
      graph — but only along unguarded edges: calls made under the
-     zero-cost-off idiom (profiling self-timing, armed invariants) are
+     zero-cost-off idiom (armed tracing, armed invariants) are
      off the replay path by construction. *)
   let changed = ref true in
   while !changed do

@@ -22,7 +22,7 @@ val check_determinism_taint : Callgraph.t -> Finding.t list
 (** R11: propagate nondeterminism taint (wall clock, ambient
     randomness, Hashtbl iteration order, polymorphic float compare)
     callee-to-caller to a fixpoint along unguarded edges (calls under
-    the zero-cost-off idiom — profiling self-timing, armed invariants
+    the zero-cost-off idiom — armed tracing, armed invariants
     — are off the replay path); flag every [lib/] output sink
     ([Trace.emit], JSON/CSV writers, [Meter.finish]) in a tainted
     function, with the chain to a concrete source. A sort in a

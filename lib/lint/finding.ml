@@ -6,7 +6,6 @@ type rule =
   | R5
   | R6
   | R7
-  | R8
   | R9
   | R10
   | R11
@@ -21,7 +20,6 @@ let rule_name = function
   | R5 -> "R5"
   | R6 -> "R6"
   | R7 -> "R7"
-  | R8 -> "R8"
   | R9 -> "R9"
   | R10 -> "R10"
   | R11 -> "R11"
@@ -36,7 +34,6 @@ let rule_of_name = function
   | "R5" -> Some R5
   | "R6" -> Some R6
   | "R7" -> Some R7
-  | "R8" -> Some R8
   | "R9" -> Some R9
   | "R10" -> Some R10
   | "R11" -> Some R11
@@ -66,10 +63,6 @@ let rule_doc = function
   | R7 ->
     "seed plumbing: lib/scenarios must thread the RNG seed from the \
      caller's config, never hard-code or default it"
-  | R8 ->
-    "timer attribution: every Sim.schedule_*/Sim.every call must carry an \
-     explicit ~src label so the event-loop profiler can attribute \
-     dispatches"
   | R9 ->
     "alloc-free: no allocation site may be reachable from an \
      [@olia.alloc_free] hot-path entry point (whole-program)"
@@ -92,7 +85,6 @@ let rule_index = function
   | R5 -> 5
   | R6 -> 6
   | R7 -> 7
-  | R8 -> 8
   | R9 -> 9
   | R10 -> 10
   | R11 -> 11

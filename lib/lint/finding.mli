@@ -12,7 +12,6 @@ type rule =
   | R5  (** registry completeness: scenario unreachable from the registry *)
   | R6  (** error hygiene: [ignore] of a [result] value *)
   | R7  (** seed plumbing: hard-coded or defaulted RNG seed in scenarios *)
-  | R8  (** timer attribution: [Sim.schedule_*]/[Sim.every] without [~src] *)
   | R9  (** alloc-free: allocation reachable from a hot-path entry point *)
   | R10
       (** domain-safety (whole-program): shared toplevel mutable state
@@ -27,8 +26,8 @@ val rule_name : rule -> string
 (** ["R1"] ... ["R11"], ["parse"], ["suppress"]. *)
 
 val rule_of_name : string -> rule option
-(** Inverse of {!rule_name} for the suppressible rules R1-R11 only:
-    [Parse] and [Suppress] findings cannot be waived. *)
+(** Inverse of {!rule_name} for the suppressible rules R1-R7 and
+    R9-R11 only: [Parse] and [Suppress] findings cannot be waived. *)
 
 val rule_doc : rule -> string
 (** One-line summary of what the rule protects. *)

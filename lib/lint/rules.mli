@@ -1,4 +1,4 @@
-(** The per-file rule catalogue R1-R8 (the whole-program rules R9-R11
+(** The per-file rule catalogue R1-R7 (the whole-program rules R9-R11
     live in {!Summary}/{!Callgraph}/{!Dataflow}).
 
     Rules are purely syntactic (no typing pass), so each one errs on
@@ -56,7 +56,7 @@ val scope_r7 : string -> bool
     fixtures legitimately pin literal seeds. *)
 
 val check_structure : path:string -> Parsetree.structure -> Finding.t list
-(** Run R1-R4 and R6-R8 (as scoped for [path]) over one parsed
+(** Run R1-R4, R6 and R7 (as scoped for [path]) over one parsed
     implementation. *)
 
 val check_registry :

@@ -17,8 +17,8 @@ open Parsetree
      body mentions no binding of the enclosing function scope is a
      constant closure and statically allocated;
    - branches guarded by the repo's zero-cost-off idiom
-     ([Invariant.enabled ()], [Trace.enabled ()], [Profile.enabled ()],
-     directly or through a local [let traced = Trace.enabled ()]), and
+     ([Invariant.enabled ()], [Trace.enabled ()], directly or through
+     a local [let traced = Trace.enabled ()]), and
      arguments of [invalid_arg]/[failwith]/[raise]/[assert], are
      off the steady path and marked [guarded];
    - boxed int64/int32/nativeint arithmetic is not tracked. *)
@@ -69,7 +69,7 @@ let last2 name =
   | f :: m :: _ -> m ^ "." ^ f
   | _ -> name
 
-let guard_fns = [ "Invariant.enabled"; "Trace.enabled"; "Profile.enabled" ]
+let guard_fns = [ "Invariant.enabled"; "Trace.enabled" ]
 let error_fns = [ "invalid_arg"; "failwith"; "raise"; "raise_notrace" ]
 
 let allocating_fns =

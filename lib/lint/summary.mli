@@ -15,7 +15,7 @@ type alloc = {
   aloc : Location.t;
   what : string;  (** human description, e.g. ["closure capturing t"] *)
   aguarded : bool;
-      (** under an [Invariant]/[Trace]/[Profile].[enabled ()] guard or
+      (** under an [Invariant]/[Trace].[enabled ()] guard or
           on an error path — off the steady path, invisible to R9 *)
 }
 

@@ -50,7 +50,7 @@ let parse_body ~file ~line body =
        else if List.mem None rules then
          invalid
            (Printf.sprintf "unknown rule id in lint directive (waivable \
-                            rules are R1-R11): %s"
+                            rules are R1-R7, R9-R11): %s"
               (String.concat " " ids))
        else (
          match reason with

@@ -25,7 +25,7 @@ let create ~sim ~rate_bps ~route ?(start = 0.) ?(stop = infinity) ~flow_id () =
     end
     else Sim.Timer.cancel sim t.timer
   in
-  t.timer <- Sim.every ~src:"cbr.tick" ~start sim interval tick;
+  t.timer <- Sim.every ~start sim interval tick;
   t
 
 let packets_sent t = t.sent

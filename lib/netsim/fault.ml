@@ -84,8 +84,7 @@ let hop t (p : Packet.t) =
     if Rng.float t.rng < prob then begin
       t.reordered <- t.reordered + 1;
       ignore
-        (Sim.schedule_pkt_after ~src:"fault.reorder" t.sim extra_delay
-           Packet.forward p
+        (Sim.schedule_pkt_after t.sim extra_delay Packet.forward p
           : Sim.Timer.t)
     end
     else begin
@@ -95,7 +94,7 @@ let hop t (p : Packet.t) =
 
 let schedule_mode t ~at mode =
   ignore
-    (Sim.schedule_at ~src:"fault.mode" t.sim at (fun () -> set_mode t mode)
+    (Sim.schedule_at t.sim at (fun () -> set_mode t mode)
       : Sim.Timer.t)
 
 let schedule_flap t ~down_at ~up_at =

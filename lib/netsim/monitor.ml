@@ -23,7 +23,7 @@ let create ~sim ~period ?(start = 0.) ?(stop = infinity) () =
     if not (now +. period <= stop && Sim.pending sim > 0) then
       Sim.Timer.cancel sim t.timer
   in
-  t.timer <- Sim.every ~src:"monitor.sample" ~start sim period tick;
+  t.timer <- Sim.every ~start sim period tick;
   t
 
 let series t name = Hashtbl.find t.table name

@@ -92,9 +92,7 @@ let attach ~sim ~policy conn =
      before the manager was attached *)
   snapshot t;
   ignore
-    (Sim.every ~src:"path_manager.check" sim policy.check_period (fun () ->
-         check t)
-      : Sim.Timer.t);
+    (Sim.every sim policy.check_period (fun () -> check t) : Sim.Timer.t);
   t
 
 let discards t = t.discards

@@ -8,7 +8,7 @@ let create ~sim ~delay =
    static function, so a pipe traversal schedules without allocating. *)
 let[@olia.alloc_free] hop t (p : Packet.t) =
   ignore
-    (Sim.schedule_pkt_after ~src:"pipe.deliver" t.sim t.delay Packet.forward p
+    (Sim.schedule_pkt_after t.sim t.delay Packet.forward p
       : Sim.Timer.t)
 
 let delay t = t.delay

@@ -105,9 +105,7 @@ let[@olia.alloc_free] rec serve t =
     t.in_service <- p;
     t.dbg_service_data <- is_data p;
     ignore
-      (Sim.schedule_after ~src:"queue.serve" t.sim (service_time t p)
-         t.on_served
-        : Sim.Timer.t)
+      (Sim.schedule_after t.sim (service_time t p) t.on_served : Sim.Timer.t)
   end
 
 and[@olia.alloc_free] finish_service t =

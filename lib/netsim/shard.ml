@@ -1,5 +1,4 @@
 module Trace = Repro_obs.Trace
-module Profile = Repro_obs.Profile
 module Fmath = Repro_cc.Fmath
 
 (* Slot layout of an outbox: seven int lanes and five float lanes per
@@ -69,6 +68,11 @@ type t = {
   mutable epoch : int;
       (* windows run so far: window [w] of a [run_windows] call is
          global window [epoch + w] and fills outboxes of that parity *)
+  busy_ns : int array;
+  wait_ns : int array;
+      (* per shard, over the last [run_windows] call: monotonic-clock
+         nanoseconds spent draining and running windows, and waiting at
+         the barrier *)
 }
 
 let outbox () =
@@ -93,11 +97,15 @@ let create ~sims ~lookahead =
     ingress =
       Array.init n (fun _ -> { inbound = [||]; cursor = [||]; order = [||] });
     epoch = 0;
+    busy_ns = Array.make n 0;
+    wait_ns = Array.make n 0;
   }
 
 let shard_count t = Array.length t.sims
 let sim t i = t.sims.(i)
 let lookahead t = t.lookahead
+let busy_s t i = float_of_int t.busy_ns.(i) *. 1e-9
+let wait_s t i = float_of_int t.wait_ns.(i) *. 1e-9
 
 let open_channel t ~src ~dst ?latency () =
   let n = Array.length t.sims in
@@ -208,7 +216,7 @@ let deliver sim (b : outbox) k =
   p.times.enqueued_at <- Float.Array.get flts (fi + f_enqueued_at);
   let at = Fmath.max (Float.Array.get flts (fi + f_arrival)) (Sim.now sim) in
   ignore
-    (Sim.schedule_pkt_at_sched ~src:"shard.ingress" sim
+    (Sim.schedule_pkt_at_sched sim
        ~sched:(Float.Array.get flts (fi + f_egress))
        at Packet.forward p
       : Sim.Timer.t)
@@ -342,14 +350,16 @@ let windows ~lookahead ~horizon =
   if horizon <= 0. then 0
   else Int.max 1 (int_of_float (ceil ((horizon /. lookahead) -. 1e-9)))
 
+(* Monotonic nanoseconds: a noalloc read with an unboxed result. *)
+let[@inline] now_ns () = Int64.to_int (Monotonic_clock.now ())
+
 let run_windows ~pool t ~horizon =
   if not (Float.is_finite horizon && horizon >= 0.) then
     invalid_arg "Shard.run_windows: horizon must be finite and non-negative";
   let n = Array.length t.sims in
-  (* Tracing and profiling are per-worker: each domain binds its own
-     trace ring (when rings are armed) and tags its profile table with
-     its shard id (when profiling is), so the window loop runs armed
-     with no shared sink. *)
+  (* Tracing is per-worker: each domain binds its own trace ring (when
+     rings are armed), so the window loop runs armed with no shared
+     sink. *)
   if n = 1 then begin
     (* one shard: no channels can exist (open_channel rejects src = dst),
        so the window loop degenerates to chained run_until calls — run
@@ -357,29 +367,29 @@ let run_windows ~pool t ~horizon =
        single run_until are bitwise identical, which is what the
        shards=1 ≡ sequential golden pins down. *)
     if Trace.enabled () then Trace.bind_ring ~shard:0;
-    if Profile.enabled () then Profile.bind ~shard:0;
-    Sim.run_until t.sims.(0) horizon
+    let t0 = now_ns () in
+    Sim.run_until t.sims.(0) horizon;
+    t.busy_ns.(0) <- now_ns () - t0;
+    t.wait_ns.(0) <- 0
   end
   else begin
     let nw = windows ~lookahead:t.lookahead ~horizon in
     let epoch = t.epoch in
     let barrier = Barrier.create n in
-    let barrier_wait =
-      if Profile.enabled () then fun () ->
-        Profile.dispatch ~src:"shard.barrier" (fun () -> Barrier.wait barrier)
-      else fun () -> Barrier.wait barrier
-    in
     (* Window w: drain the outboxes of parity (w-1) — filled by every
        source during window w-1, before the previous barrier — then run
        to the boundary, sending into parity w, then wait. A source
        refills parity w-1 only in window w+1, i.e. after this shard has
-       passed the next barrier and so finished draining it. *)
+       passed the next barrier and so finished draining it. Two clock
+       reads per window split the worker's time into busy (drain and
+       run) and wait (barrier). *)
     let worker i () =
       if Trace.enabled () then Trace.bind_ring ~shard:i;
-      if Profile.enabled () then Profile.bind ~shard:i;
       let sim = t.sims.(i) in
       let ing = t.ingress.(i) in
       let src = t.sources.(i) in
+      let busy = ref 0 and wait = ref 0 in
+      let t0 = ref (now_ns ()) in
       for w = 1 to nw do
         drain sim ing ((epoch + w - 1) land 1);
         src.parity <- (epoch + w) land 1;
@@ -388,8 +398,15 @@ let run_windows ~pool t ~horizon =
         let boundary = float_of_int w *. t.lookahead in
         if horizon <= boundary then Sim.run_until sim horizon
         else Sim.run_until sim boundary;
-        barrier_wait ()
-      done
+        let t1 = now_ns () in
+        Barrier.wait barrier;
+        let t2 = now_ns () in
+        busy := !busy + (t1 - !t0);
+        wait := !wait + (t2 - t1);
+        t0 := t2
+      done;
+      t.busy_ns.(i) <- !busy;
+      t.wait_ns.(i) <- !wait
     in
     pool (Array.init n (fun i -> worker i));
     t.epoch <- epoch + nw

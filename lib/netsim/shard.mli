@@ -103,10 +103,19 @@ val run_windows :
     to use the sweep engine's domain plumbing, or a sequential pool for
     single-domain tests — the results are identical by construction;
     with a single shard the loop degenerates to chained [run_until]
-    calls on the calling domain). Tracing and profiling are
-    per-worker: when trace rings are armed ([Trace.arm_rings]) each
-    worker binds its own ring under its shard id — the decoded merge
-    reproduces the sequential event order — and each worker's profile
-    table is tagged with its shard (barrier wait accounted under
-    ["shard.barrier"]). Worker exceptions are re-raised after all
-    domains have been joined. *)
+    calls on the calling domain). Tracing is per-worker: when trace
+    rings are armed ([Trace.arm_rings]) each worker binds its own ring
+    under its shard id, and the decoded merge reproduces the sequential
+    event order. Each worker reads a monotonic clock twice per window
+    to split its time into {!busy_s} and {!wait_s}. Worker exceptions
+    are re-raised after all domains have been joined. *)
+
+val busy_s : t -> int -> float
+(** Wall seconds shard [i] spent draining its inbound outboxes and
+    running its windows during the last {!run_windows} call (the whole
+    [run_until] for a one-shard group). Wall-clock, so never part of a
+    deterministic result. *)
+
+val wait_s : t -> int -> float
+(** Wall seconds shard [i] spent waiting at the window barrier during
+    the last {!run_windows} call; 0 for a one-shard group. *)

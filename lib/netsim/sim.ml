@@ -22,7 +22,6 @@
    one immediate int, so arming, firing, cancelling and re-arming a
    timer allocates nothing. *)
 
-module Profile = Repro_obs.Profile
 module Trace = Repro_obs.Trace
 
 let bits = 8
@@ -580,68 +579,55 @@ let[@inline] check_time t time =
    rather than a float parameter: the inlined wrappers below store the
    caller's (unboxed) float there, so no box is ever materialised on
    the schedule path. *)
-let schedule_staged ?(src = "other") t fn =
+let schedule_staged t fn =
   let time = Float.Array.unsafe_get t.stage 0 in
   check_time t time;
-  (* Profiling wraps at scheduling time, not in the dispatch loop, so
-     the profiling-off cost is this one ref read. *)
-  let fn =
-    if Profile.enabled () then fun () -> Profile.dispatch ~src fn else fn
-  in
   let c = schedule_cell t time in
   Array.unsafe_set t.fn_ c fn;
   commit_cell t c;
   handle_of t c
 
-let[@inline] schedule_at ?src t time fn =
+let[@inline] schedule_at ?src:_ t time fn =
   Float.Array.unsafe_set t.stage 0 time;
   Float.Array.unsafe_set t.stage 1 (Float.Array.unsafe_get t.clk 0);
-  schedule_staged ?src t fn
+  schedule_staged t fn
 
-let[@inline] schedule_after ?src t delay fn =
+let[@inline] schedule_after t delay fn =
   Float.Array.unsafe_set t.stage 0 (Float.Array.unsafe_get t.clk 0 +. delay);
   Float.Array.unsafe_set t.stage 1 (Float.Array.unsafe_get t.clk 0);
-  schedule_staged ?src t fn
+  schedule_staged t fn
 
-let schedule_pkt_staged ?(src = "other") t fn p =
+let schedule_pkt_staged t fn p =
   let time = Float.Array.unsafe_get t.stage 0 in
   check_time t time;
   let c = schedule_cell t time in
   set_kind t c 1;
-  (* Even when profiling wraps the callback, the cell stays a packet
-     cell: the dispatch comparator must see the same content key whether
-     or not profiling is armed, or arming the profiler would change
-     same-instant tie resolution (and with it the simulation). *)
-  let fn =
-    if Profile.enabled () then fun q -> Profile.dispatch ~src (fun () -> fn q)
-    else fn
-  in
   Array.unsafe_set t.pfn_ c fn;
   Array.unsafe_set t.pkt_ c p;
   commit_cell t c;
   handle_of t c
 
-let[@inline] schedule_pkt_at ?src t time fn p =
+let[@inline] schedule_pkt_at t time fn p =
   Float.Array.unsafe_set t.stage 0 time;
   Float.Array.unsafe_set t.stage 1 (Float.Array.unsafe_get t.clk 0);
-  schedule_pkt_staged ?src t fn p
+  schedule_pkt_staged t fn p
 
-let[@inline] schedule_pkt_after ?src t delay fn p =
+let[@inline] schedule_pkt_after t delay fn p =
   Float.Array.unsafe_set t.stage 0 (Float.Array.unsafe_get t.clk 0 +. delay);
   Float.Array.unsafe_set t.stage 1 (Float.Array.unsafe_get t.clk 0);
-  schedule_pkt_staged ?src t fn p
+  schedule_pkt_staged t fn p
 
 (* Cross-shard delivery: schedule at [time] but break same-instant ties
    as if the timer had been armed at [sched] — the egress time on the
    source shard, i.e. exactly when the sequential run's propagation
    pipe would have scheduled this arrival. [sched] may lie in the past;
    it is an ordering key, not a deadline. *)
-let[@inline] schedule_pkt_at_sched ?src t ~sched time fn p =
+let[@inline] schedule_pkt_at_sched t ~sched time fn p =
   Float.Array.unsafe_set t.stage 0 time;
   Float.Array.unsafe_set t.stage 1 sched;
-  schedule_pkt_staged ?src t fn p
+  schedule_pkt_staged t fn p
 
-let every ?(src = "other") ?start t period fn =
+let every ?start t period fn =
   if not (period -. period = 0. && period > 0.) then
     invalid_arg "Sim.every: period must be finite and positive";
   let start =
@@ -650,9 +636,6 @@ let every ?(src = "other") ?start t period fn =
     | None -> Float.Array.unsafe_get t.clk 0 +. period
   in
   check_time t start;
-  let fn =
-    if Profile.enabled () then fun () -> Profile.dispatch ~src fn else fn
-  in
   Float.Array.unsafe_set t.stage 1 (Float.Array.unsafe_get t.clk 0);
   let c = schedule_cell t start in
   set_period t c period;

@@ -69,17 +69,15 @@ val schedule_at : ?src:string -> t -> float -> (unit -> unit) -> Timer.t
 (** [schedule_at t time fn] runs [fn] when the clock reaches [time] and
     returns a handle for cancellation. Raises [Invalid_argument] if
     [time] is in the past or not finite (NaN and infinities are
-    rejected rather than silently misordering the schedule). [src]
-    labels the event source for [Repro_obs.Profile] attribution
-    (default ["other"]); when profiling is armed at scheduling time the
-    callback is wrapped to account its dispatch count and wall time,
-    otherwise the label costs nothing. *)
+    rejected rather than silently misordering the schedule). [src] is
+    ignored; it is kept so that callers written against the earlier
+    labelled form still compile. *)
 
-val schedule_after : ?src:string -> t -> float -> (unit -> unit) -> Timer.t
+val schedule_after : t -> float -> (unit -> unit) -> Timer.t
 (** [schedule_after t delay fn] = [schedule_at t (now t +. delay) fn]. *)
 
 val schedule_pkt_at :
-  ?src:string -> t -> float -> (Packet.t -> unit) -> Packet.t -> Timer.t
+  t -> float -> (Packet.t -> unit) -> Packet.t -> Timer.t
 (** [schedule_pkt_at t time fn p] runs [fn p] when the clock reaches
     [time]. The packet rides in the pooled timer cell itself, so
     scheduling a delivery costs no closure allocation: pass a static
@@ -87,11 +85,10 @@ val schedule_pkt_at :
     allocation-free. Semantics otherwise as {!schedule_at}. *)
 
 val schedule_pkt_after :
-  ?src:string -> t -> float -> (Packet.t -> unit) -> Packet.t -> Timer.t
+  t -> float -> (Packet.t -> unit) -> Packet.t -> Timer.t
 (** Delay form of {!schedule_pkt_at}. *)
 
 val schedule_pkt_at_sched :
-  ?src:string ->
   t ->
   sched:float ->
   float ->
@@ -107,7 +104,7 @@ val schedule_pkt_at_sched :
     same-instant ties identically. [sched] may lie in the past; it is
     an ordering key, not a deadline. *)
 
-val every : ?src:string -> ?start:float -> t -> float -> (unit -> unit) -> Timer.t
+val every : ?start:float -> t -> float -> (unit -> unit) -> Timer.t
 (** [every t period fn] runs [fn] at [start] (default [now t +. period])
     and then every [period] seconds until the returned timer is
     cancelled — the one sanctioned way to stop it is

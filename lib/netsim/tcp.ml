@@ -166,15 +166,13 @@ let restart_rto sub =
   if Sim.Timer.active sim sub.rto_timer then
     Sim.Timer.reschedule sim sub.rto_timer deadline
   else
-    sub.rto_timer <- Sim.schedule_at ~src:"tcp.rto" sim deadline sub.rto_fire
+    sub.rto_timer <- Sim.schedule_at sim deadline sub.rto_fire
 
 let ensure_rto sub =
   let sim = sub.conn.sim in
   if not (Sim.Timer.active sim sub.rto_timer) then
     sub.rto_timer <-
-      Sim.schedule_at ~src:"tcp.rto" sim
-        (Sim.now sim +. sub.fl.rto)
-        sub.rto_fire
+      Sim.schedule_at sim (Sim.now sim +. sub.fl.rto) sub.rto_fire
 
 let on_timeout sub =
   let traced = Trace.enabled () in
@@ -479,8 +477,7 @@ let[@inline] send_ack sub ~echo ~sack =
 let arm_delack_timer sub =
   let sim = sub.conn.rcv_sim in
   if not (Sim.Timer.active sim sub.delack_timer) then
-    sub.delack_timer <-
-      Sim.schedule_after ~src:"tcp.delack" sim 0.1 sub.delack_fire
+    sub.delack_timer <- Sim.schedule_after sim 0.1 sub.delack_fire
 
 let[@olia.alloc_free] sink_handler sub (p : Packet.t) =
   match p.kind with
@@ -607,7 +604,7 @@ let create ~sim ?rcv_sim ~cc ~paths ?size_pkts ?(start = 0.)
     (fun idx sub ->
       let at = if idx = 0 then start else start +. subflow_join_delay in
       ignore
-        (Sim.schedule_at ~src:"tcp.start" sim at (fun () ->
+        (Sim.schedule_at sim at (fun () ->
              if Trace.enabled () then
                Trace.subflow_add ~time:(Sim.now sim) ~flow:conn.flow_id
                  ~subflow:idx;

@@ -47,6 +47,8 @@ type shard_counters = {
   shard : int;
   events_processed : int;
   max_heap_depth : int;
+  busy_s : float;
+  wait_s : float;
 }
 
 let merge_shards shards =
@@ -67,6 +69,8 @@ let shards_to_json shards =
              ("shard", Json.Int s.shard);
              ("events_processed", Json.Int s.events_processed);
              ("max_heap_depth", Json.Int s.max_heap_depth);
+             ("busy_s", Json.Float s.busy_s);
+             ("wait_s", Json.Float s.wait_s);
            ])
        (List.sort (fun a b -> Int.compare a.shard b.shard) shards))
 

@@ -40,8 +40,12 @@ type shard_counters = {
   shard : int;
   events_processed : int;
   max_heap_depth : int;
+  busy_s : float;  (** wall seconds draining and running windows *)
+  wait_s : float;  (** wall seconds waiting at the window barrier *)
 }
-(** One shard's deterministic loop counters in a sharded run. *)
+(** One shard's loop counters in a sharded run: deterministic event
+    and depth counts, plus its wall-clock busy/wait split, which like
+    [wall_s] stays out of {!metrics}. *)
 
 val merge_shards : shard_counters list -> int * int
 (** [(total events, max heap depth)] merged in ascending shard order —
@@ -49,8 +53,8 @@ val merge_shards : shard_counters list -> int * int
     [obs_*] metrics a 1-shard run reports. *)
 
 val shards_to_json : shard_counters list -> Repro_stats.Json.t
-(** Per-shard breakdown (ascending shards) for operator-facing
-    output. *)
+(** Per-shard breakdown (ascending shards), busy/wait included, for
+    operator-facing output. *)
 
 val metrics : report -> (string * float) list
 (** The deterministic counters as [("obs_*", v)] pairs, suitable for

@@ -4,7 +4,7 @@
 
    Everything here is a pure function of the event stream, which for a
    fixed seed is itself deterministic, so [to_json] output is
-   byte-identical across runs: wall-clock data (Meter, Profile) never
+   byte-identical across runs: wall-clock data (Meter, shard clocks) never
    enters a report. *)
 
 module Json = Repro_stats.Json

@@ -20,7 +20,7 @@ let measure_conns ~sim ~warmup ~duration conns =
     Array.map (fun c -> Array.make (Tcp.subflow_count c) 0) conns_a
   in
   ignore
-    (Sim.schedule_at ~src:"scenario.warmup" sim warmup (fun () ->
+    (Sim.schedule_at sim warmup (fun () ->
          Array.iteri
            (fun i c ->
              totals.(i) <- Tcp.total_acked c;

@@ -95,8 +95,7 @@ let run cfg =
   done;
   let core = Ftp.core_queues tree in
   ignore
-    (Sim.schedule_at ~src:"scenario.warmup" sim cfg.warmup (fun () ->
-         List.iter Queue.reset_stats core)
+    (Sim.schedule_at sim cfg.warmup (fun () -> List.iter Queue.reset_stats core)
       : Sim.Timer.t);
   let measured =
     Common.measure_conns ~sim ~warmup:cfg.warmup ~duration:cfg.duration

@@ -107,14 +107,14 @@ let run cfg =
   for s = 0 to Shard.shard_count group - 1 do
     let queues = Ftp.shard_queues tree s in
     ignore
-      (Sim.schedule_at ~src:"scenario.warmup" (Shard.sim group s) cfg.warmup
+      (Sim.schedule_at (Shard.sim group s) cfg.warmup
          (fun () -> List.iter Queue.reset_stats queues)
         : Sim.Timer.t)
   done;
   List.iteri
     (fun i { Repro_workload.Workload.src; _ } ->
       ignore
-        (Sim.schedule_at ~src:"scenario.warmup"
+        (Sim.schedule_at
            (Ftp.sim_of_host tree src)
            cfg.warmup
            (fun () -> totals.(i) <- Tcp.total_acked conns_a.(i))
@@ -153,6 +153,8 @@ let run cfg =
           Repro_obs.Meter.shard = s;
           events_processed = Sim.events_processed sim;
           max_heap_depth = Sim.max_heap_depth sim;
+          busy_s = Shard.busy_s group s;
+          wait_s = Shard.wait_s group s;
         })
   in
   let events, depth = Repro_obs.Meter.merge_shards shard_obs in
@@ -178,3 +180,30 @@ let run cfg =
     obs;
     shard_obs;
   }
+
+(* Every field but [cut_messages] (0 at one shard by construction) and
+   [obs]/[shard_obs] (wall clocks, and one warm-up timer per shard in
+   the raw event count), in declaration order. *)
+let compared_fields r =
+  [
+    ("flow_mbps", r.flow_mbps);
+    ("aggregate_mbps", [| r.aggregate_mbps |]);
+    ("aggregate_pct_optimal", [| r.aggregate_pct_optimal |]);
+    ("mean_flow_mbps", [| r.mean_flow_mbps |]);
+    ("p10_flow_mbps", [| r.p10_flow_mbps |]);
+    ("p50_flow_mbps", [| r.p50_flow_mbps |]);
+    ("p90_flow_mbps", [| r.p90_flow_mbps |]);
+    ("ranked_pct", r.ranked_pct);
+    ("mean_core_loss", [| r.mean_core_loss |]);
+  ]
+
+let same_bits x y =
+  Array.length x = Array.length y
+  && Array.for_all2
+       (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+       x y
+
+let first_difference a b =
+  List.find_map
+    (fun ((name, x), (_, y)) -> if same_bits x y then None else Some name)
+    (List.combine (compared_fields a) (compared_fields b))

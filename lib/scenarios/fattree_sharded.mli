@@ -54,7 +54,9 @@ type result = {
   shard_obs : Repro_obs.Meter.shard_counters list;
       (** per-shard loop counters, ascending shards; their
           deterministic merge ([Meter.merge_shards]) is exactly what
-          [obs] carries as events and max heap depth *)
+          [obs] carries as events and max heap depth. Each also carries
+          its shard's wall-clock busy/wait split from
+          [Shard.busy_s]/[Shard.wait_s]. *)
 }
 
 val run : config -> result
@@ -68,3 +70,11 @@ val run : config -> result
     Raises [Invalid_argument] before building anything when
     [flows_per_host < 1] or [warmup >= duration], and on a shard count
     that does not divide [k]. *)
+
+val first_difference : result -> result -> string option
+(** The name of the first field, in declaration order, where two
+    results differ by float bits, or [None] when they are bitwise
+    equal. [cut_messages] (0 at one shard by construction), [obs] and
+    [shard_obs] (wall clocks, and one warm-up timer per shard in the
+    raw event count) are not compared. A run at any shard count must
+    give [None] against the one-shard run of the same config. *)

@@ -68,7 +68,7 @@ let run cfg =
           (100 + i) None)
   in
   ignore
-    (Sim.schedule_at ~src:"responsiveness.relief" sim cfg.relief_at (fun () ->
+    (Sim.schedule_at sim cfg.relief_at (fun () ->
          List.iter (fun c -> Tcp.set_subflow_enabled c 0 false) shock_flows)
       : Sim.Timer.t);
   (* sample the multipath user's path-2 window share *)
@@ -81,13 +81,13 @@ let run cfg =
     if not (Sim.now sim +. 0.2 < cfg.duration) then
       Sim.Timer.cancel sim !sample_timer
   in
-  sample_timer := Sim.every ~src:"responsiveness.sample" ~start:1. sim 0.2 sample;
+  sample_timer := Sim.every ~start:1. sim 0.2 sample;
   (* goodput share probes *)
   let acked2_at = ref [] in
   List.iter
     (fun t ->
       ignore
-        (Sim.schedule_at ~src:"responsiveness.probe" sim t (fun () ->
+        (Sim.schedule_at sim t (fun () ->
              acked2_at :=
                (t, Tcp.subflow_acked mp 1, Tcp.total_acked mp) :: !acked2_at)
           : Sim.Timer.t))

@@ -77,7 +77,7 @@ let run cfg =
           ~start:(next_start ()) ~flow_id:(cfg.n1 + i) ())
   in
   ignore
-    (Sim.schedule_at ~src:"scenario.warmup" sim cfg.warmup (fun () ->
+    (Sim.schedule_at sim cfg.warmup (fun () ->
          Queue.reset_stats q1;
          Queue.reset_stats q2)
       : Sim.Timer.t);

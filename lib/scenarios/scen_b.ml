@@ -70,7 +70,7 @@ let run cfg =
           ~flow_id:(cfg.n + i) ())
   in
   ignore
-    (Sim.schedule_at ~src:"scenario.warmup" sim cfg.warmup (fun () ->
+    (Sim.schedule_at sim cfg.warmup (fun () ->
          Queue.reset_stats qx;
          Queue.reset_stats qt)
       : Sim.Timer.t);

@@ -83,7 +83,7 @@ let run cfg =
           ~start:(Rng.uniform rng 2.) ~flow_id:(cfg.n1 + i) ())
   in
   ignore
-    (Sim.schedule_at ~src:"scenario.warmup" sim cfg.warmup (fun () ->
+    (Sim.schedule_at sim cfg.warmup (fun () ->
          Queue.reset_stats ap1;
          Queue.reset_stats ap2)
       : Sim.Timer.t);

@@ -99,13 +99,11 @@ let run cfg =
     if not (t +. cfg.sample_period <= cfg.duration) then
       Sim.Timer.cancel sim !sample_timer
   in
-  sample_timer :=
-    Sim.every ~src:"two_bottleneck.sample" ~start:0. sim cfg.sample_period
-      sample;
+  sample_timer := Sim.every ~start:0. sim cfg.sample_period sample;
   let acked1 = ref 0 and acked2 = ref 0 in
   let warmup = cfg.duration /. 6. in
   ignore
-    (Sim.schedule_at ~src:"scenario.warmup" sim warmup (fun () ->
+    (Sim.schedule_at sim warmup (fun () ->
          acked1 := Tcp.subflow_acked mp 0;
          acked2 := Tcp.subflow_acked mp 1)
       : Sim.Timer.t);

@@ -69,7 +69,7 @@ let run cfg =
   in
   let snap = Array.make 2 0 in
   ignore
-    (Sim.schedule_at ~src:"scenario.warmup" sim cfg.warmup (fun () ->
+    (Sim.schedule_at sim cfg.warmup (fun () ->
          Array.iteri
            (fun i _ ->
              if i < Tcp.subflow_count conn then

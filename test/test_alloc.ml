@@ -153,7 +153,7 @@ let test_shard_messages () =
          ~route:out)
   in
   ignore
-    (Sim.every ~src:"test.source" ~start:0. sims.(0) 0.001 tick : Sim.Timer.t);
+    (Sim.every ~start:0. sims.(0) 0.001 tick : Sim.Timer.t);
   let words = Float.Array.make 2 0. in
   let run horizon =
     let m0 = Shard.sent_count to1 + Shard.sent_count to0 in

@@ -8,8 +8,8 @@ open Mptcp_repro.Topology
 module Sim = struct
   include Sim
 
-  let schedule_at ?src sim t f = ignore (Sim.schedule_at ?src sim t f : Sim.Timer.t)
-  let schedule_after ?src sim d f = ignore (Sim.schedule_after ?src sim d f : Sim.Timer.t)
+  let schedule_at sim t f = ignore (Sim.schedule_at sim t f : Sim.Timer.t)
+  let schedule_after sim d f = ignore (Sim.schedule_after sim d f : Sim.Timer.t)
 end
 
 let check_close eps = Alcotest.(check (float eps))

@@ -209,50 +209,6 @@ let test_r7_suppressible () =
 let rng = Rng.create ~seed:7
 |})
 
-(* --- R8: timer attribution ------------------------------------------ *)
-
-let test_r8_fires () =
-  let f =
-    lint ~path:"lib/netsim/fixture.ml"
-      {|
-let f sim = Sim.schedule_at sim 1. (fun () -> ())
-let g sim = ignore (Netsim.Sim.schedule_after sim 0.1 (fun () -> ()))
-let h sim p = Repro_netsim.Sim.schedule_pkt_after sim 0.1 Packet.forward p
-let k sim = Sim.every sim 5. (fun () -> ())
-|}
-  in
-  check_count "four unlabelled scheduler calls" Finding.R8 4 f
-
-let test_r8_src_fine () =
-  check_count "labelled calls pass" Finding.R8 0
-    (lint ~path:"lib/netsim/fixture.ml"
-       {|
-let f sim = Sim.schedule_at ~src:"fixture.tick" sim 1. (fun () -> ())
-let g ?src sim = Sim.every ?src sim 5. (fun () -> ())
-|})
-
-let test_r8_scope () =
-  let fixture = "let f sim = Sim.schedule_at sim 1. (fun () -> ())" in
-  check_count "bench is in scope" Finding.R8 1
-    (lint ~path:"bench/fixture.ml" fixture);
-  check_count "tests are exempt" Finding.R8 0
-    (lint ~path:"test/test_x.ml" fixture);
-  check_count "the scheduler itself is exempt" Finding.R8 0
-    (lint ~path:"lib/netsim/sim.ml" fixture)
-
-let test_r8_other_modules_fine () =
-  check_count "non-Sim schedulers are not the target" Finding.R8 0
-    (lint ~path:"lib/netsim/fixture.ml"
-       "let f cron = Cron.schedule_at cron 1. (fun () -> ())")
-
-let test_r8_suppressible () =
-  check_count "waivable like any rule" Finding.R8 0
-    (lint ~path:"lib/netsim/fixture.ml"
-       {|
-(* lint: allow R8 -- fixture exercising the waiver *)
-let f sim = Sim.schedule_at sim 1. (fun () -> ())
-|})
-
 (* --- clean code, parse errors --------------------------------------- *)
 
 let test_clean_passes () =
@@ -709,12 +665,6 @@ let suite =
     Alcotest.test_case "R7 scoped to lib/scenarios" `Quick
       test_r7_scoped_to_scenarios;
     Alcotest.test_case "R7 suppressible" `Quick test_r7_suppressible;
-    Alcotest.test_case "R8 fires on unlabelled timers" `Quick test_r8_fires;
-    Alcotest.test_case "R8 accepts ~src labels" `Quick test_r8_src_fine;
-    Alcotest.test_case "R8 scoped to lib/ and bench/" `Quick test_r8_scope;
-    Alcotest.test_case "R8 ignores non-Sim schedulers" `Quick
-      test_r8_other_modules_fine;
-    Alcotest.test_case "R8 suppressible" `Quick test_r8_suppressible;
     Alcotest.test_case "clean code produces no findings" `Quick
       test_clean_passes;
     Alcotest.test_case "unparseable file yields one finding" `Quick

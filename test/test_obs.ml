@@ -8,8 +8,8 @@ open Repro_netsim
 module Sim = struct
   include Sim
 
-  let schedule_at ?src sim t f = ignore (Sim.schedule_at ?src sim t f : Sim.Timer.t)
-  let schedule_after ?src sim d f = ignore (Sim.schedule_after ?src sim d f : Sim.Timer.t)
+  let schedule_at sim t f = ignore (Sim.schedule_at sim t f : Sim.Timer.t)
+  let schedule_after sim d f = ignore (Sim.schedule_after sim d f : Sim.Timer.t)
 end
 module Trace = Repro_obs.Trace
 module Meter = Repro_obs.Meter
@@ -385,7 +385,6 @@ let test_regressions_normalize_by_calibration () =
 (* --- flight-recorder reports ------------------------------------------ *)
 
 module Report = Repro_obs.Report
-module Profile = Repro_obs.Profile
 
 let member name = function
   | Json.Obj fields -> (
@@ -731,7 +730,7 @@ let build_inlines_hot_paths () =
   let fn () = () in
   let sched i =
     Repro_netsim.Sim.Timer.cancel sim
-      (Repro_netsim.Sim.schedule_after ~src:"canary" sim
+      (Repro_netsim.Sim.schedule_after sim
          (float_of_int i *. 1e-9) fn)
   in
   for i = 1 to 100 do
@@ -788,77 +787,6 @@ let test_armed_emission_zero_alloc () =
             true (per_ev < 16.)
         end)
 
-(* --- event-loop profiler ----------------------------------------------- *)
-
-let test_profile_accounting () =
-  Alcotest.(check bool) "tests run unprofiled" false (Profile.enabled ());
-  Profile.reset ();
-  Profile.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Profile.set_enabled false;
-      Profile.reset ())
-    (fun () ->
-      Profile.dispatch ~src:"a" (fun () -> ());
-      Profile.dispatch ~src:"a" (fun () -> ());
-      Profile.dispatch ~src:"b" (fun () -> ());
-      let entries = Profile.report () in
-      let find src =
-        match List.find_opt (fun e -> e.Profile.src = src) entries with
-        | Some e -> e
-        | None -> Alcotest.fail ("no profile entry for " ^ src)
-      in
-      Alcotest.(check int) "a dispatched twice" 2 (find "a").Profile.count;
-      Alcotest.(check int) "b dispatched once" 1 (find "b").Profile.count;
-      List.iter
-        (fun e ->
-          Alcotest.(check bool)
-            (e.Profile.src ^ " wall time non-negative")
-            true (e.Profile.wall_s >= 0.))
-        entries;
-      Profile.reset ();
-      Alcotest.(check int) "reset drops totals" 0
-        (List.length (Profile.report ())))
-
-let test_profile_attributes_sim_sources () =
-  Profile.reset ();
-  Profile.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Profile.set_enabled false;
-      Profile.reset ())
-    (fun () ->
-      let sim = Sim.create () in
-      let rng = Rng.create ~seed:1 in
-      let q =
-        Queue.create ~sim ~rng ~rate_bps:12e6 ~buffer_pkts:5
-          ~discipline:Queue.Droptail ()
-      in
-      let sink (_ : Packet.t) = () in
-      let route = [| Queue.hop q; sink |] in
-      Sim.schedule_at sim 0. (fun () ->
-          for i = 0 to 19 do
-            Packet.forward
-              (Packet.data ~flow:0 ~subflow:0 ~seq:i ~sent_at:0. ~route)
-          done);
-      Sim.run sim;
-      let entries = Profile.report () in
-      (match List.find_opt (fun e -> e.Profile.src = "queue.serve") entries with
-      | None -> Alcotest.fail "no attribution for queue.serve"
-      | Some e ->
-        Alcotest.(check bool) "queue.serve dispatched" true (e.Profile.count > 0));
-      (* the unlabelled schedule above pools under "other" *)
-      (match List.find_opt (fun e -> e.Profile.src = "other") entries with
-      | None -> Alcotest.fail "no attribution for unlabelled sources"
-      | Some e -> Alcotest.(check int) "one unlabelled dispatch" 1 e.Profile.count);
-      let table = Repro_stats.Table.to_string (Profile.to_table entries) in
-      Alcotest.(check bool)
-        "table renders the hot source" true
-        (let sub = "queue.serve" in
-         let n = String.length sub and m = String.length table in
-         let rec go i = i + n <= m && (String.sub table i n = sub || go (i + 1)) in
-         go 0))
-
 let suite =
   [
     Alcotest.test_case "every event variant round-trips JSONL" `Quick
@@ -895,8 +823,4 @@ let suite =
     QCheck_alcotest.to_alcotest prop_decode_partition_invariant;
     Alcotest.test_case "armed ring emission stays off the minor heap" `Quick
       test_armed_emission_zero_alloc;
-    Alcotest.test_case "profiler accounts dispatches per source" `Quick
-      test_profile_accounting;
-    Alcotest.test_case "profiler attributes event-loop sources" `Quick
-      test_profile_attributes_sim_sources;
   ]

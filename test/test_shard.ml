@@ -1,7 +1,8 @@
 (* Tests of the sharded simulation runtime: pod-cut extraction on the
    FatTree, deterministic cross-shard merge order, the shards=1 ≡
-   sequential golden, shard-count invariance bands, determinism of
-   sharded runs, and byte-identical trace decode across shard counts. *)
+   sequential golden, bitwise shard-count invariance, determinism of
+   sharded runs, the per-shard busy/wait clocks, and byte-identical
+   trace decode across shard counts. *)
 
 open Mptcp_repro.Netsim
 module Ftp = Mptcp_repro.Topology.Fattree_pods
@@ -107,7 +108,7 @@ let prop_merge_is_sequential_order =
               t := Float.min 1. (!t +. (0.25 *. float_of_int d));
               let sim = sims.(src) in
               ignore
-                (Sim.schedule_at ~src:"test.send" sim !t (fun () ->
+                (Sim.schedule_at sim !t (fun () ->
                      let now = Sim.now sim in
                      sent :=
                        (src, counters.(src), now +. latency, now) :: !sent;
@@ -185,14 +186,23 @@ let small_cfg shards =
   { Fs.default with Fs.k = 4; shards; flows_per_host = 1; duration = 2.;
     warmup = 0.5; seed = 3 }
 
+(* Despite the name, the check is exact: every compared field of the
+   2-shard result has the float bits of the 1-shard result, and a
+   single ulp, or -0 against 0, is caught by name. *)
 let test_invariance_bands () =
   let r1 = Fs.run (small_cfg 1) in
   let r2 = Fs.run (small_cfg 2) in
-  let rel a b = abs_float (a -. b) /. Stdlib.max (abs_float a) 1e-9 in
-  Alcotest.(check bool) "aggregate within 10%" true
-    (rel r1.Fs.aggregate_mbps r2.Fs.aggregate_mbps < 0.10);
-  Alcotest.(check bool) "median within 10%" true
-    (rel r1.Fs.p50_flow_mbps r2.Fs.p50_flow_mbps < 0.10);
+  Alcotest.(check (option string)) "first differing field" None
+    (Fs.first_difference r1 r2);
+  Alcotest.(check bool) "progress" true (r1.Fs.aggregate_mbps > 0.);
+  let bumped = Array.copy r2.Fs.ranked_pct in
+  bumped.(0) <- Float.succ bumped.(0);
+  Alcotest.(check (option string)) "one ulp in ranked_pct" (Some "ranked_pct")
+    (Fs.first_difference r1 { r2 with Fs.ranked_pct = bumped });
+  Alcotest.(check (option string)) "-0 vs 0" (Some "mean_core_loss")
+    (Fs.first_difference
+       { r1 with Fs.mean_core_loss = 0. }
+       { r2 with Fs.mean_core_loss = -0. });
   Alcotest.(check int) "no cut traffic sequentially" 0 r1.Fs.cut_messages;
   Alcotest.(check bool) "cut traffic sharded" true (r2.Fs.cut_messages > 0)
 
@@ -211,6 +221,43 @@ let test_sharded_run_deterministic () =
   Alcotest.(check (array (float 0.)) "per-flow goodput bitwise")
     r1.Fs.flow_mbps r2.Fs.flow_mbps;
   Alcotest.(check int) "cut messages" r1.Fs.cut_messages r2.Fs.cut_messages
+
+(* --- per-shard clocks ----------------------------------------------------- *)
+
+(* Each worker splits its wall time into busy (drain and run) and
+   barrier wait, both inside the run_windows call. *)
+let test_shard_clocks () =
+  let clocked ~shards ~pool =
+    let t = make_pods ~k:4 ~shards ~seed:5 () in
+    let group = Ftp.group t in
+    let wall = ref 0. in
+    ignore
+      (run_workload ~seed:5
+         ~mk_paths:(fun ~rng ~src ~dst ->
+           Ftp.sample_paths t ~rng ~src ~dst ~n:2)
+         ~sim_of_host:(Ftp.sim_of_host t)
+         ~run:(fun () ->
+           let t0 = Monotonic_clock.now () in
+           Shard.run_windows ~pool group ~horizon:1.;
+           let ns = Int64.sub (Monotonic_clock.now ()) t0 in
+           wall := Int64.to_float ns *. 1e-9)
+        : int list);
+    (group, !wall)
+  in
+  let group, wall = clocked ~shards:2 ~pool:Mptcp_repro.Exp.Sweep.pool in
+  for i = 0 to 1 do
+    let busy = Shard.busy_s group i and wait = Shard.wait_s group i in
+    Alcotest.(check bool) (Printf.sprintf "shard %d busy > 0" i) true (busy > 0.);
+    Alcotest.(check bool) (Printf.sprintf "shard %d wait >= 0" i) true (wait >= 0.);
+    Alcotest.(check bool)
+      (Printf.sprintf "shard %d busy + wait (%g s) <= wall (%g s)" i
+         (busy +. wait) wall)
+      true
+      (busy +. wait <= wall)
+  done;
+  let one, _ = clocked ~shards:1 ~pool:seq_pool in
+  Alcotest.(check bool) "one shard busy" true (Shard.busy_s one 0 > 0.);
+  Alcotest.(check (float 0.)) "one shard never waits" 0. (Shard.wait_s one 0)
 
 (* --- sharded tracing ----------------------------------------------------- *)
 
@@ -247,6 +294,7 @@ let suite =
       test_shards1_matches_sequential;
     Alcotest.test_case "shard-count invariance bands" `Slow
       test_invariance_bands;
+    Alcotest.test_case "per-shard busy/wait clocks" `Quick test_shard_clocks;
     Alcotest.test_case "rejects warmup >= duration up front" `Quick
       test_rejects_warmup_past_duration;
     Alcotest.test_case "sharded run deterministic" `Slow

@@ -53,8 +53,7 @@ let prop_wheel_matches_reference_heap =
         incr next_id;
         let time = Sim.now sim +. rand_delay () in
         let h =
-          Sim.schedule_at ~src:"test.model" sim time (fun () ->
-              fired := id :: !fired)
+          Sim.schedule_at sim time (fun () -> fired := id :: !fired)
         in
         let ev = { id; m_time = time; m_seq = take_seq () } in
         pending := (h, ev) :: !pending;
@@ -125,7 +124,7 @@ let prop_wheel_matches_reference_heap =
 let test_cancel_before_fire () =
   let sim = Sim.create () in
   let fired = ref false in
-  let h = Sim.schedule_at ~src:"test" sim 1. (fun () -> fired := true) in
+  let h = Sim.schedule_at sim 1. (fun () -> fired := true) in
   Alcotest.(check bool) "active before" true (Sim.Timer.active sim h);
   Sim.Timer.cancel sim h;
   Alcotest.(check bool) "inactive after cancel" false (Sim.Timer.active sim h);
@@ -135,7 +134,7 @@ let test_cancel_before_fire () =
 
 let test_cancel_after_fire_noop () =
   let sim = Sim.create () in
-  let h = Sim.schedule_at ~src:"test" sim 1. (fun () -> ()) in
+  let h = Sim.schedule_at sim 1. (fun () -> ()) in
   (* a later event whose cell may reuse the cancelled slot *)
   let fired = ref false in
   Sim.run_until sim 1.5;
@@ -143,7 +142,7 @@ let test_cancel_after_fire_noop () =
   Sim.Timer.cancel sim h;
   Sim.Timer.cancel sim h;
   ignore
-    (Sim.schedule_at ~src:"test" sim 2. (fun () -> fired := true)
+    (Sim.schedule_at sim 2. (fun () -> fired := true)
       : Sim.Timer.t);
   Sim.Timer.cancel sim h;
   Sim.run sim;
@@ -160,7 +159,7 @@ let test_timer_none_inert () =
 let test_reschedule_moves_deadline () =
   let sim = Sim.create () in
   let at = ref nan in
-  let h = Sim.schedule_at ~src:"test" sim 1. (fun () -> at := Sim.now sim) in
+  let h = Sim.schedule_at sim 1. (fun () -> at := Sim.now sim) in
   Sim.Timer.reschedule sim h 3.;
   Sim.run sim;
   Alcotest.(check (float 0.)) "fires at the new time" 3. !at;
@@ -168,9 +167,9 @@ let test_reschedule_moves_deadline () =
 
 let test_reschedule_backward_rejected () =
   let sim = Sim.create () in
-  ignore (Sim.schedule_at ~src:"test" sim 5. (fun () -> ()) : Sim.Timer.t);
+  ignore (Sim.schedule_at sim 5. (fun () -> ()) : Sim.Timer.t);
   Sim.run_until sim 2.;
-  let h = Sim.schedule_at ~src:"test" sim 4. (fun () -> ()) in
+  let h = Sim.schedule_at sim 4. (fun () -> ()) in
   Alcotest.check_raises "backward reschedule"
     (Invalid_argument "Sim.Timer.reschedule: time in the past") (fun () ->
       Sim.Timer.reschedule sim h 1.);
@@ -180,7 +179,7 @@ let test_reschedule_backward_rejected () =
 
 let test_reschedule_stale_rejected () =
   let sim = Sim.create () in
-  let h = Sim.schedule_at ~src:"test" sim 1. (fun () -> ()) in
+  let h = Sim.schedule_at sim 1. (fun () -> ()) in
   Sim.run sim;
   Alcotest.check_raises "stale handle"
     (Invalid_argument "Sim.Timer.reschedule: timer not active") (fun () ->
@@ -195,7 +194,7 @@ let test_non_finite_rejected () =
       Alcotest.check_raises "non-finite schedule"
         (Invalid_argument "Sim.schedule_at: non-finite time") (fun () ->
           ignore
-            (Sim.schedule_at ~src:"test" sim bad (fun () -> ())
+            (Sim.schedule_at sim bad (fun () -> ())
               : Sim.Timer.t)))
     [ nan; infinity; neg_infinity ]
 
@@ -203,7 +202,7 @@ let test_non_finite_rejected () =
    time ever exceeds (nan, infinity) would dispatch forever. *)
 let test_non_finite_horizon_rejected () =
   let sim = Sim.create () in
-  ignore (Sim.every ~src:"test" sim 0.5 (fun () -> ()) : Sim.Timer.t);
+  ignore (Sim.every sim 0.5 (fun () -> ()) : Sim.Timer.t);
   List.iter
     (fun bad ->
       Alcotest.check_raises "non-finite horizon"
@@ -218,8 +217,7 @@ let test_every_fires_periodically () =
   let sim = Sim.create () in
   let times = ref [] in
   let t =
-    Sim.every ~src:"test.every" sim 0.5 (fun () ->
-        times := Sim.now sim :: !times)
+    Sim.every sim 0.5 (fun () -> times := Sim.now sim :: !times)
   in
   Sim.run_until sim 2.25;
   Sim.Timer.cancel sim t;
@@ -232,8 +230,7 @@ let test_every_explicit_start () =
   let sim = Sim.create () in
   let times = ref [] in
   let t =
-    Sim.every ~src:"test.every" ~start:0. sim 1. (fun () ->
-        times := Sim.now sim :: !times)
+    Sim.every ~start:0. sim 1. (fun () -> times := Sim.now sim :: !times)
   in
   Sim.run_until sim 2.5;
   Sim.Timer.cancel sim t;
@@ -245,7 +242,7 @@ let test_every_self_cancel () =
   let n = ref 0 in
   let t = ref Sim.Timer.none in
   t :=
-    Sim.every ~src:"test.every" sim 1. (fun () ->
+    Sim.every sim 1. (fun () ->
         incr n;
         if !n = 3 then Sim.Timer.cancel sim !t);
   Sim.run sim;
@@ -254,7 +251,7 @@ let test_every_self_cancel () =
 
 let test_every_not_reschedulable () =
   let sim = Sim.create () in
-  let t = Sim.every ~src:"test.every" sim 1. (fun () -> ()) in
+  let t = Sim.every sim 1. (fun () -> ()) in
   Alcotest.check_raises "periodic reschedule"
     (Invalid_argument "Sim.Timer.reschedule: timer is periodic") (fun () ->
       Sim.Timer.reschedule sim t 5.);
@@ -267,7 +264,7 @@ let test_every_rejects_bad_period () =
       Alcotest.check_raises "bad period"
         (Invalid_argument "Sim.every: period must be finite and positive")
         (fun () ->
-          ignore (Sim.every ~src:"test" sim bad (fun () -> ()) : Sim.Timer.t)))
+          ignore (Sim.every sim bad (fun () -> ()) : Sim.Timer.t)))
     [ 0.; -1.; nan; infinity ]
 
 (* --- overflow spill ---------------------------------------------------- *)
@@ -281,8 +278,7 @@ let test_overflow_spill_ordering () =
   let order = ref [] in
   let ev tag time =
     ignore
-      (Sim.schedule_at ~src:"test.spill" sim time (fun () ->
-           order := tag :: !order)
+      (Sim.schedule_at sim time (fun () -> order := tag :: !order)
         : Sim.Timer.t)
   in
   ev "near" 1.;
@@ -301,9 +297,9 @@ let test_overflow_spill_cancel () =
   let sim = Sim.create () in
   let fired = ref false in
   let h =
-    Sim.schedule_at ~src:"test.spill" sim 4e5 (fun () -> fired := true)
+    Sim.schedule_at sim 4e5 (fun () -> fired := true)
   in
-  ignore (Sim.schedule_at ~src:"test" sim 4e5 (fun () -> ()) : Sim.Timer.t);
+  ignore (Sim.schedule_at sim 4e5 (fun () -> ()) : Sim.Timer.t);
   Sim.Timer.cancel sim h;
   Sim.run sim;
   Alcotest.(check bool) "cancelled spill event never fires" false !fired
@@ -328,7 +324,7 @@ let build_inlines_schedule_path () =
   let fn () = () in
   let sched i =
     Sim.Timer.cancel sim
-      (Sim.schedule_after ~src:"canary" sim (float_of_int i *. 1e-9) fn)
+      (Sim.schedule_after sim (float_of_int i *. 1e-9) fn)
   in
   for i = 1 to 100 do sched i done;
   let w0 = Gc.minor_words () in
@@ -367,7 +363,7 @@ let test_steady_state_zero_alloc () =
          ~route:fwd_route);
     incr sent
   in
-  let src = Sim.every ~src:"test.source" ~start:0. sim 0.002 tick in
+  let src = Sim.every ~start:0. sim 0.002 tick in
   (* warm-up: grow pools, the queue ring and the wheel's cell arrays *)
   Sim.run_until sim 1.;
   let before = !acked in
