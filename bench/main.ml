@@ -868,6 +868,23 @@ let micro_estimates_once () =
            done;
            Mptcp_repro.Netsim.Sim.run sim))
   in
+  (* The micro above spreads its events one per second, one per wheel
+     slot; this one packs 1000 into a single level-0 slot (65.5 us),
+     armed in a scrambled order, so it times the sort-once slot drain
+     that dense FatTree slots exercise. *)
+  let sim_dense =
+    Test.make ~name:"sim: 1k events in one slot"
+      (Staged.stage (fun () ->
+           let sim = Mptcp_repro.Netsim.Sim.create () in
+           for i = 0 to 999 do
+             ignore
+               (Mptcp_repro.Netsim.Sim.schedule_at sim
+                  (0.001 +. (float_of_int ((i * 7919) mod 1000) *. 1e-8))
+                  (fun () -> ())
+                 : Mptcp_repro.Netsim.Sim.Timer.t)
+           done;
+           Mptcp_repro.Netsim.Sim.run sim))
+  in
   let views =
     Array.init 4 (fun i ->
         { Mptcp_repro.Cc.Types.cwnd = 5. +. float_of_int i; rtt = 0.1 })
@@ -942,6 +959,7 @@ let micro_estimates_once () =
       [
         calibrate;
         sim_heap;
+        sim_dense;
         olia_inc;
         olia_fp_inc;
         lia_inc;

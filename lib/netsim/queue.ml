@@ -99,7 +99,8 @@ let[@olia.alloc_free] rec serve t =
   else begin
     let p = t.ring.(t.head) in
     t.ring.(t.head) <- t.sentinel;
-    t.head <- (t.head + 1) mod Array.length t.ring;
+    let h = t.head + 1 in
+    t.head <- (if h = Array.length t.ring then 0 else h);
     t.count <- t.count - 1;
     t.busy <- true;
     t.in_service <- p;
@@ -237,7 +238,10 @@ let[@olia.alloc_free] enqueue t (p : Packet.t) =
   end
   else begin
     p.times.enqueued_at <- Sim.now t.sim;
-    t.ring.((t.head + t.count) mod Array.length t.ring) <- p;
+    (* head and count are each below the ring length, so one
+       compare-and-wrap replaces the integer division of a [mod] *)
+    let i = t.head + t.count in
+    t.ring.(if i >= Array.length t.ring then i - Array.length t.ring else i) <- p;
     t.count <- t.count + 1;
     t.backlog <- t.backlog + 1;
     if Trace.enabled () then

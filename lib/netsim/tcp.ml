@@ -232,7 +232,9 @@ let rec try_send sub =
       if flight sub = 0 then restart_rto sub;
       let seq = sub.snd_nxt in
       sub.snd_nxt <- sub.snd_nxt + 1;
-      if Hashtbl.mem sub.sacked seq then
+      (* The length guard skips [Hashtbl.mem]'s [caml_hash] call while
+         the scoreboard is empty, which is nearly always. *)
+      if Hashtbl.length sub.sacked > 0 && Hashtbl.mem sub.sacked seq then
         (* the receiver already holds this segment (go-back-N skip) *)
         try_send sub
       else begin
@@ -459,7 +461,7 @@ let rec sack_hi sub hi =
   if Hashtbl.mem sub.ooo hi then sack_hi sub (hi + 1) else hi
 
 let sack_block_around sub seq =
-  if not (Hashtbl.mem sub.ooo seq) then None
+  if Hashtbl.length sub.ooo = 0 || not (Hashtbl.mem sub.ooo seq) then None
   else
     (* lint: allow R9 -- SACK blocks are built only for out-of-order arrivals, off the in-order steady state the alloc-free proof covers *)
     Some (sack_lo sub seq, sack_hi sub (seq + 1))
@@ -491,7 +493,7 @@ let[@olia.alloc_free] sink_handler sub (p : Packet.t) =
     let in_order = seq = sub.rcv_cum in
     if in_order then begin
       sub.rcv_cum <- sub.rcv_cum + 1;
-      while Hashtbl.mem sub.ooo sub.rcv_cum do
+      while Hashtbl.length sub.ooo > 0 && Hashtbl.mem sub.ooo sub.rcv_cum do
         Hashtbl.remove sub.ooo sub.rcv_cum;
         sub.rcv_cum <- sub.rcv_cum + 1
       done

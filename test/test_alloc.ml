@@ -104,6 +104,45 @@ let test_rng_float () =
     (Float.Array.get acc 0 > 0. && Float.Array.get acc 0 < 100_100.);
   check_words "draws" ~events:100_000 (w1 -. w0)
 
+(* --- dense wheel slot ---------------------------------------------------- *)
+
+(* A thousand closure and packet cells armed into one level-0 slot in
+   descending time order, the worst case for the LIFO slot list, then
+   drained: the sort-once drain must reuse the due buffer and its merge
+   scratch once both have grown in a first round. *)
+let test_dense_slot_drain () =
+  let sim = Sim.create () in
+  let fired = ref 0 in
+  let fn () = incr fired in
+  let pfn (_ : Packet.t) = incr fired in
+  let pkts =
+    Array.init 256 (fun i ->
+        Packet.data ~flow:(i land 7) ~subflow:0 ~seq:(i lsr 3) ~sent_at:0.
+          ~route:[||])
+  in
+  let round base =
+    for i = 999 downto 0 do
+      let time = base +. (float_of_int (i land 63) *. 1e-7) in
+      if i land 1 = 0 then ignore (Sim.schedule_at sim time fn : Sim.Timer.t)
+      else
+        ignore (Sim.schedule_pkt_at sim time pfn pkts.(i lsr 2) : Sim.Timer.t)
+    done;
+    Sim.run sim
+  in
+  (* warm-up: cell pool, due buffer, merge scratch *)
+  round 0.001;
+  let m0 = (Gc.quick_stat ()).Gc.major_words in
+  let w0 = Gc.minor_words () in
+  round 0.011;
+  let w1 = Gc.minor_words () in
+  let m1 = (Gc.quick_stat ()).Gc.major_words in
+  Alcotest.(check int) "every cell fired" 2000 !fired;
+  check_words "dense-slot events" ~events:1000 (w1 -. w0);
+  (* the due buffer and the scratch are past the minor heap's size
+     limit, so a regrowth per drain would show only here *)
+  if strict () then
+    Alcotest.(check (float 0.)) "major words for a warm drain" 0. (m1 -. m0)
+
 (* --- cross-shard channel ---------------------------------------------- *)
 
 (* The sweep engine's domain pool, with each worker's minor words taken
@@ -177,6 +216,8 @@ let suite =
       `Quick test_tcp_olia;
     Alcotest.test_case "rng: float draws allocate nothing" `Quick
       test_rng_float;
+    Alcotest.test_case "sim: a warm dense-slot drain allocates nothing" `Quick
+      test_dense_slot_drain;
     Alcotest.test_case "shard: cross-shard messages allocate nothing" `Quick
       test_shard_messages;
   ]

@@ -304,6 +304,141 @@ let test_overflow_spill_cancel () =
   Sim.run sim;
   Alcotest.(check bool) "cancelled spill event never fires" false !fired
 
+(* --- dense slots ---------------------------------------------------------- *)
+
+(* One cell of a dense-slot workload as the specification sees it: the
+   dispatch key is (time, sched, kind, flow, pkt seq, arming seq), with
+   closure cells (kind 0) before packet cells at a full (time, sched)
+   tie, packets ordered by their header, and arming order last. *)
+type dense_ev = {
+  d_id : int;
+  mutable d_time : float;
+  d_sched : float;
+  d_kind : int;
+  d_flow : int;
+  d_pseq : int;
+  mutable d_seq : int;
+}
+
+let dense_compare a b =
+  compare
+    (a.d_time, a.d_sched, a.d_kind, a.d_flow, a.d_pseq, a.d_seq)
+    (b.d_time, b.d_sched, b.d_kind, b.d_flow, b.d_pseq, b.d_seq)
+
+(* Hundreds of cells packed into one level-0 slot (65.5 us wide), on a
+   lattice of eight instants so (time, sched) ties are dense, including
+   ties between packet cells with different and with identical headers.
+   They are armed in descending key order (the worst case for the LIFO
+   slot list), as interleaved ascending runs, or at random, and some
+   closure timers are then re-armed inside the same slot. The slot
+   either drains straight from level 0 or arrives there by a level-1
+   cascade. The sorted-drain invariant is armed throughout. *)
+let prop_dense_slot_dispatch_order =
+  QCheck.Test.make ~name:"timer: a dense slot dispatches in key order"
+    ~count:60
+    QCheck.(int_range 0 100000)
+    (fun seed ->
+      let was = Invariant.enabled () in
+      Invariant.set_enabled true;
+      Fun.protect ~finally:(fun () -> Invariant.set_enabled was) @@ fun () ->
+      let rng = Rng.create ~seed in
+      let sim = Sim.create () in
+      let base = if Rng.int rng 2 = 0 then 0.001 else 0.5 in
+      let n = 200 + Rng.int rng 400 in
+      let evs =
+        Array.init n (fun d_id ->
+            let d_kind = Rng.int rng 2 in
+            {
+              d_id;
+              d_time = base +. (float_of_int (Rng.int rng 8) *. 1e-6);
+              (* only a cross-shard packet delivery carries a sched
+                 other than the arming clock *)
+              d_sched = (if d_kind = 1 && Rng.int rng 4 = 0 then -1e-3 else 0.);
+              d_kind;
+              (* closure cells have no header *)
+              d_flow = d_kind * Rng.int rng 3;
+              d_pseq = d_kind * Rng.int rng 3;
+              d_seq = 0;
+            })
+      in
+      let sorted = Array.copy evs in
+      Array.stable_sort dense_compare sorted;
+      let order =
+        match Rng.int rng 3 with
+        | 0 ->
+          (* descending *)
+          Array.init n (fun i -> sorted.(n - 1 - i))
+        | 1 ->
+          (* [runs] ascending runs, interleaved round-robin *)
+          let runs = 2 + Rng.int rng 6 in
+          let len = (n + runs - 1) / runs in
+          let acc = ref [] in
+          for k = 0 to len - 1 do
+            for r = 0 to runs - 1 do
+              let i = (r * len) + k in
+              if i < n then acc := sorted.(i) :: !acc
+            done
+          done;
+          Array.of_list (List.rev !acc)
+        | _ ->
+          let a = Array.copy evs in
+          for i = n - 1 downto 1 do
+            let j = Rng.int rng (i + 1) in
+            let x = a.(i) in
+            a.(i) <- a.(j);
+            a.(j) <- x
+          done;
+          a
+      in
+      let fired = ref [] in
+      let pkts = Array.make n None in
+      let on_pkt (p : Packet.t) =
+        let rec find i =
+          match pkts.(i) with
+          | Some q when q == p -> i
+          | _ -> find (i + 1)
+        in
+        fired := find 0 :: !fired
+      in
+      let handles = Array.make n Sim.Timer.none in
+      let next_seq = ref 0 in
+      Array.iter
+        (fun e ->
+          e.d_seq <- !next_seq;
+          incr next_seq;
+          if e.d_kind = 0 then
+            handles.(e.d_id) <-
+              Sim.schedule_at sim e.d_time (fun () -> fired := e.d_id :: !fired)
+          else begin
+            let p =
+              Packet.data ~flow:e.d_flow ~subflow:0 ~seq:e.d_pseq ~sent_at:0.
+                ~route:[||]
+            in
+            pkts.(e.d_id) <- Some p;
+            if Float.equal e.d_sched 0. then
+              ignore (Sim.schedule_pkt_at sim e.d_time on_pkt p : Sim.Timer.t)
+            else
+              ignore
+                (Sim.schedule_pkt_at_sched sim ~sched:e.d_sched e.d_time on_pkt
+                   p
+                  : Sim.Timer.t)
+          end)
+        order;
+      (* re-arm some closure timers inside the slot: fresh arming seq *)
+      Array.iter
+        (fun e ->
+          if e.d_kind = 0 && Rng.int rng 4 = 0 then begin
+            e.d_time <- base +. (float_of_int (Rng.int rng 8) *. 1e-6);
+            e.d_seq <- !next_seq;
+            incr next_seq;
+            Sim.Timer.reschedule sim handles.(e.d_id) e.d_time
+          end)
+        evs;
+      Sim.run sim;
+      let expected = Array.copy evs in
+      Array.stable_sort dense_compare expected;
+      List.rev !fired = Array.to_list (Array.map (fun e -> e.d_id) expected))
+
 (* --- allocation contract ----------------------------------------------- *)
 
 (* The performance half of the redesign: once pools are warm, the
@@ -393,6 +528,7 @@ let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
     q prop_wheel_matches_reference_heap;
+    q prop_dense_slot_dispatch_order;
     Alcotest.test_case "cancel before fire" `Quick test_cancel_before_fire;
     Alcotest.test_case "cancel after fire is a no-op" `Quick
       test_cancel_after_fire_noop;
